@@ -35,6 +35,7 @@ from .errors import (
     BadDimension,
     DisturbanceOutOfRange,
     EmptyIntersection,
+    NonFiniteInput,
     NonHermitianInput,
     NotCP,
     NotUnital,
@@ -81,10 +82,9 @@ __all__ = [
     "NetworkSpec", "compile_channel", "run_exact", "run_sampled",
     "AttackReport", "Protocol", "brute_force_optimum", "optimal_attack",
     "overlap", "probe_overlaps_dilation", "success_probability",
-    "QubitGeomError", "NonHermitianInput", "BadDimension", "UnphysicalBloch",
-    "NotUnital", "NotCP", "UnknownName", "WeightsNotNormalized",
-    "EmptyIntersection", "OutsideCube", "SymmetryViolation",
-    "DisturbanceOutOfRange",
+    "QubitGeomError", "NonHermitianInput", "BadDimension", "NonFiniteInput",
+    "UnphysicalBloch", "NotUnital", "NotCP", "UnknownName", "WeightsNotNormalized",
+    "EmptyIntersection", "OutsideCube", "SymmetryViolation", "DisturbanceOutOfRange",
 ]
 
 __version__ = "0.1.0"

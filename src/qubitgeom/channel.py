@@ -9,7 +9,8 @@ a regular tetrahedron in eta-space (see the geometry module).
 Complete positivity is tested through the Choi matrix: the channel applied
 to one half of a maximally entangled pair. The Choi matrix is normalised to
 trace 1 here, so its eigenvalues of a diagonal unital channel are exactly
-the four Pauli mixture weights.
+the four Pauli mixture weights. It is the Pauli transfer matrix
+T = [[1, 0], [b, A]] of the channel contracted with a fixed Pauli tensor.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadDimension,
-    NotUnital,
-    UnknownName,
-    UnphysicalBloch,
-)
+from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
+                     UnphysicalBloch)
 from .linalg import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 UNITAL_TOL = 1e-12
+
+# Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
+_PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -69,6 +69,8 @@ class AffineChannel:
     def __post_init__(self):
         object.__setattr__(self, "A", _readonly(np.reshape(self.A, (3, 3))))
         object.__setattr__(self, "b", _readonly(np.reshape(self.b, (3,))))
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+            raise NonFiniteInput("channel A and b must be finite")
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
@@ -103,41 +105,36 @@ def apply_density(ch: AffineChannel, rho: np.ndarray) -> np.ndarray:
     extension to arbitrary 2x2 matrices is what the Choi construction needs.
     """
     rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho)
-    m = np.array([np.trace(rho @ p) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+    tr, *m = [np.trace(rho @ p) for p in PAULIS]
     m_out = ch.A @ m + tr * ch.b
-    out = 0.5 * tr * np.eye(2, dtype=complex)
-    for k in range(3):
-        out = out + 0.5 * m_out[k] * PAULIS[k + 1]
-    return out
+    return 0.5 * (tr * PAULIS[0] + sum(c * p for c, p in zip(m_out, PAULIS[1:])))
 
 
 def choi(ch: AffineChannel) -> np.ndarray:
     """Trace-1 Choi matrix (id x S)(|Psi+><Psi+|) of the channel.
 
     |Psi+> = (|00> + |11>)/sqrt(2); the channel acts on the second factor.
-    The result is Hermitian with unit trace; it is positive semidefinite
-    iff the channel is completely positive.
+    As |Psi+><Psi+| = sum_j sigma_j^T (x) sigma_j / 4 and S(sigma_j) =
+    sum_k T_kj sigma_k with T = [[1, 0], [b, A]], it is the contraction
+    sum_jk T_kj sigma_j^T (x) sigma_k / 4. The result is Hermitian with unit
+    trace; it is positive semidefinite iff the channel is completely positive.
     """
-    C = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[i, j] = 1.0
-            block = 0.5 * apply_density(ch, E)
-            C[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
-    return C
+    Tt = np.zeros((4, 4))
+    Tt[0] = (1.0, *ch.b)
+    Tt[1:, 1:] = ch.A.T
+    return (Tt.reshape(16) @ _PAULI_TENSOR).reshape(4, 4)
 
 
 def is_cp(ch: AffineChannel, tol: float = 1e-9) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum.
 
-    Returns (flag, min_eigenvalue) where flag is True iff the smallest
-    Choi eigenvalue is >= -tol.
+    Returns (flag, min_eigenvalue) where flag is True iff 4 * min_eigenvalue
+    >= -tol. For a diagonal map 4 * min_eigenvalue = 1 - max_k n_k . eta, so
+    tol is the face slack that in_D allows, in the same eta units.
     """
     w, _ = linalg.hermitian_eig(choi(ch))
     min_eig = float(w[0])
-    return min_eig >= -tol, min_eig
+    return 4.0 * min_eig >= -tol, min_eig
 
 
 def is_positive_unital(ch: AffineChannel, tol: float = 1e-9) -> bool:

@@ -187,6 +187,8 @@ def _dispatch(args):
             rho = dynamics.simulate_reduced(spec, args.t, rho0)
             return {"bloch": qchannel.density_to_bloch(rho),
                     "eta": dynamics.eta_of_t(spec, args.t)}
+        if args.steps < 1:
+            raise _ArgumentError(f"--steps must be >= 1, got {args.steps}")
         grid = np.linspace(0.0, args.tmax, args.steps + 1)
         traj = dynamics.trajectory(spec, grid)
         return dynamics.trajectory_to_csv(traj)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel as qchannel
 from . import geometry, linalg
 from .errors import NotCP, QubitGeomError
 
@@ -139,8 +138,3 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         row = [format(float(v), ".17g") for v in (t, *eta)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def induced_channel(spec: CouplingSpec, t: float) -> qchannel.AffineChannel:
-    """The diagonal channel generated at time t, as an AffineChannel."""
-    return qchannel.AffineChannel.from_eta(eta_of_t(spec, t))

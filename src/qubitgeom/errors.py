@@ -13,6 +13,10 @@ class BadDimension(QubitGeomError):
     """An array has the wrong shape or dimension for the operation."""
 
 
+class NonFiniteInput(QubitGeomError):
+    """An input array holds NaN or infinity."""
+
+
 class UnphysicalBloch(QubitGeomError):
     """Bloch vector lies outside the unit ball."""
 

@@ -12,16 +12,22 @@ mixtures, Euclidean (and constrained) projection onto D - the best-CP
 approximation of a positive map - and the decomposition of any positive
 diagonal unital map into a convex mixture of a CP part and a CP part
 composed with the transpose.
+
+A projection tries every set of active faces at once: the KKT step of a set
+depends on the set and the pinned coordinates but not on the point, so each
+step matrix is computed once per pinning pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyIntersection, OutsideCube, WeightsNotNormalized
+from .errors import (BadDimension, EmptyIntersection, NonFiniteInput, OutsideCube,
+                     WeightsNotNormalized)
 
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
@@ -52,7 +58,9 @@ TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 def _eta(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (3,):
-        raise ValueError(f"eta must have 3 components, got shape {eta.shape}")
+        raise BadDimension(f"eta must have 3 components, got shape {eta.shape}")
+    if not np.isfinite(eta).all():
+        raise NonFiniteInput(f"eta must be finite, got {eta}")
     return eta
 
 
@@ -104,53 +112,50 @@ def compose(a, b) -> np.ndarray:
     return _eta(a) * _eta(b)
 
 
-def _project_polytope(y: np.ndarray, free: np.ndarray, fixed_vals: np.ndarray,
-                      tol: float = 1e-9) -> np.ndarray:
+@cache
+def _steps(free: tuple[bool, bool, bool]):
+    """KKT steps for the slice whose pinned coordinates are ~free.
+
+    G stacks the pinning rows and the face normals; active sets k run smallest
+    first, so the first of two equally near candidates wins. Rows 3k..3k+2 of
+    W hold the step G_k^T (G_k G_k^T)^-1 of set k (pinv if its rows G_k are
+    dependent), zero-padded to len(G) columns; rows[k] is 1 on G_k, else 0.
+    """
+    pins = np.eye(3)[~np.array(free)]
+    G = np.vstack([pins, FACE_NORMALS])
+    sets = [a for size in range(4) for a in combinations(range(4), size)]
+    W = np.zeros((len(sets), 3, len(G)))
+    for k, active in enumerate(sets):
+        idx = list(range(len(pins))) + [len(pins) + f for f in active]
+        if idx:
+            Gk = G[idx]
+            dependent = np.linalg.matrix_rank(Gk) < len(idx)
+            W[k][:, idx] = np.linalg.pinv(Gk) if dependent else Gk.T @ np.linalg.inv(Gk @ Gk.T)
+    return G, W.reshape(-1, len(G)), W.any(axis=1).astype(float)
+
+
+def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool],
+                      fixed_vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Nearest point of D intersected with {eta[~free] = fixed_vals} to y.
 
-    Enumerates active sets of the four face constraints and solves each KKT
-    system; the projection onto a nonempty convex polytope is always among
-    the feasible candidates. Raises EmptyIntersection when none exists.
+    Takes the KKT step x_k = y - W_k (G y - r) for every active set k at once;
+    the projection onto a nonempty convex polytope is among the candidates that
+    meet their own constraints and lie in D. Raises EmptyIntersection if none does.
     """
-    n_fixed = int(np.sum(~free))
-    eqs = []
-    rhs = []
-    for idx, is_free in enumerate(free):
-        if not is_free:
-            row = np.zeros(3)
-            row[idx] = 1.0
-            eqs.append(row)
-    E = np.array(eqs).reshape(n_fixed, 3)
-    e = np.asarray(fixed_vals, dtype=float).reshape(n_fixed)
-
-    best = None
-    best_d2 = np.inf
-    for size in range(4):
-        for active in combinations(range(4), size):
-            C = FACE_NORMALS[list(active)]
-            m = n_fixed + len(active)
-            K = np.zeros((3 + m, 3 + m))
-            K[:3, :3] = np.eye(3)
-            G = np.vstack([E, C]) if m else np.zeros((0, 3))
-            K[:3, 3:] = G.T
-            K[3:, :3] = G
-            rhs_vec = np.concatenate([y, e, np.ones(len(active))])
-            try:
-                sol = np.linalg.solve(K, rhs_vec)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(K, rhs_vec, rcond=None)
-            x = sol[:3]
-            if m and np.max(np.abs(G @ x - rhs_vec[3:])) > tol:
-                continue  # inconsistent active set
-            if np.any(FACE_NORMALS @ x > 1.0 + tol):
-                continue
-            d2 = float(np.sum((x - y) ** 2))
-            if d2 < best_d2 - 1e-15:
-                best_d2 = d2
-                best = x
+    G, W, rows = _steps(free)
+    r = np.concatenate((fixed_vals, np.ones(4)))
+    X = y - (W @ (G @ y - r)).reshape(-1, 3)
+    resid = X @ G.T - r
+    # |resid| <= tol on the set's own rows, resid <= tol on the others
+    ok = (np.maximum(resid, -resid * rows) <= tol).all(axis=1)
+    d2 = np.where(ok, ((X - y) ** 2).sum(axis=1), np.inf).tolist()
+    best, best_d2 = None, np.inf
+    for k, d in enumerate(d2):
+        if d < best_d2 - 1e-15:
+            best, best_d2 = k, d
     if best is None:
         raise EmptyIntersection("constraint slice does not meet the tetrahedron")
-    return best
+    return X[best]
 
 
 def project_to_D(eta) -> np.ndarray:
@@ -159,10 +164,7 @@ def project_to_D(eta) -> np.ndarray:
     The trace inner product on diagonal unital maps reduces to the
     Euclidean metric in eta-space, so this is the best-CP approximation.
     """
-    eta = _eta(eta)
-    if in_D(eta, tol=0.0):
-        return eta.copy()
-    return _project_polytope(eta, np.ones(3, dtype=bool), np.zeros(0))
+    return _project_polytope(_eta(eta), (True, True, True), np.zeros(0))
 
 
 def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
@@ -175,7 +177,7 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     eta = _eta(eta)
     free = np.asarray(free_mask, dtype=bool).reshape(3)
     fixed_vals = np.asarray(fixed_values, dtype=float).reshape(int(np.sum(~free)))
-    return _project_polytope(eta, free, fixed_vals)
+    return _project_polytope(eta, tuple(free.tolist()), fixed_vals)
 
 
 @dataclass(frozen=True)

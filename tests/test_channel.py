@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom.errors import NotUnital, UnknownName, UnphysicalBloch
+from qubitgeom import geometry
+from qubitgeom.errors import NonFiniteInput, NotCP, NotUnital, UnknownName, UnphysicalBloch
 
 from conftest import random_eta_in_D, random_rotation
 
@@ -83,6 +84,49 @@ def test_choi_affine_linear(rng):
         lhs = qg.choi(mix)
         rhs = lam * qg.choi(c1) + (1 - lam) * qg.choi(c2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_choi_matches_apply_density_oracle(rng):
+    # (id x S)(|Psi+><Psi+|) = sum_ij E_ij (x) S(E_ij) / 2, with S extended
+    # linearly by apply_density
+    units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+    for _ in range(200):
+        ch = qg.AffineChannel(rng.uniform(-1, 1, (3, 3)), rng.uniform(-0.3, 0.3, 3))
+        ref = sum(np.kron(E, qg.apply_density(ch, E)) for E in units) / 2
+        assert np.max(np.abs(qg.choi(ch) - ref)) <= 1e-15
+
+
+def test_affine_channel_rejects_non_finite():
+    with pytest.raises(NonFiniteInput):
+        qg.AffineChannel.from_eta([np.nan, 0, 0])
+    with pytest.raises(NonFiniteInput):
+        qg.AffineChannel(np.eye(3), [0, np.inf, 0])
+
+
+def _band_points():
+    """Points just outside D: the symmetric one behind the face opposite the
+    identity, and one point behind each face at face slack 2e-9 and 3e-9."""
+    pts = [-(1 / 3 + 1e-9) * np.ones(3)]
+    for k, n in enumerate(geometry.FACE_NORMALS):
+        inside = geometry.VERTICES[np.arange(4) != k].T @ np.array([0.5, 0.3, 0.2])
+        pts += [inside + n * slack / 3 for slack in (2e-9, 3e-9)]
+    return pts
+
+
+def test_cp_threshold_agrees_with_tetrahedron_in_band():
+    for eta in _band_points():
+        slack = np.max(geometry.FACE_NORMALS @ eta) - 1.0
+        assert 1.5e-9 < slack < 3.5e-9
+        ch = qg.AffineChannel.from_eta(eta)
+        flag, _ = qg.is_cp(ch)
+        assert flag == qg.in_D(eta)
+        assert not flag
+        try:
+            qg.compile_channel(ch)
+            compiled = True
+        except NotCP:
+            compiled = False
+        assert compiled == flag
 
 
 def test_is_cp_named_maps():

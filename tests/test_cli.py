@@ -187,3 +187,21 @@ def test_validation_error_exit_code():
 def test_missing_file_exit_code():
     proc = run_cli("check", "--in", "/nonexistent/ch.json", check=False)
     assert proc.returncode == 2
+
+
+def test_non_finite_eta_exit_code(tmp_path):
+    proc = run_cli("check", "--eta", "nan", "0", "0", check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "NonFiniteInput"
+    f = tmp_path / "ch.json"
+    f.write_text('{"eta": [NaN, 0, 0]}')
+    assert run_cli("check", "--in", str(f), check=False).returncode == 2
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_dynamics_rejects_empty_grid(steps):
+    proc = run_cli("dynamics", "--alpha2", ".3", ".3", ".4", "--steps", steps,
+                   check=False)
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = json.loads(proc.stderr)
+    assert "error" in err and "--steps" in err["message"]

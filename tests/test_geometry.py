@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import qubitgeom as qg
 from qubitgeom import geometry
-from qubitgeom.errors import EmptyIntersection, OutsideCube, WeightsNotNormalized
+from qubitgeom.errors import (BadDimension, EmptyIntersection, NonFiniteInput,
+                              OutsideCube, WeightsNotNormalized)
 
 from conftest import random_eta_in_D
 
@@ -108,6 +111,58 @@ def test_project_matches_grid_oracle(rng):
         checked += 1
 
 
+def _exterior_points_near_boundary(rng):
+    """Points just outside D near its faces, edges and vertices: a boundary
+    point pushed out along an outward direction of its normal cone."""
+    pts = []
+    for _ in range(100):
+        for n_active in (1, 2, 3):
+            faces = rng.choice(4, size=n_active, replace=False)
+            w = np.zeros(4)
+            inner = np.setdiff1d(np.arange(4), faces)
+            w[inner] = rng.dirichlet(np.ones(len(inner)))
+            x = geometry.VERTICES.T @ w
+            out = rng.uniform(0.01, 1.0, n_active) @ geometry.FACE_NORMALS[faces]
+            pts.append(x + rng.uniform(1e-6, 0.5) * out / np.linalg.norm(out))
+    return pts
+
+
+def test_project_vertex_optimality_near_boundary(rng):
+    for y in _exterior_points_near_boundary(rng):
+        x = qg.project_to_D(y)
+        assert qg.in_D(x, tol=1e-12)
+        assert np.max((geometry.VERTICES - x) @ (y - x)) <= 1e-12
+
+
+def _slice_vertices(free, fixed):
+    """Vertices of D within the slice: points where the pinning rows and
+    enough face constraints meet, found by direct solves."""
+    pins = np.eye(3)[~free]
+    verts = []
+    for faces in combinations(range(4), int(np.sum(free))):
+        G = np.vstack([pins, geometry.FACE_NORMALS[list(faces)]])
+        if abs(np.linalg.det(G)) < 1e-12:
+            continue
+        v = np.linalg.solve(G, np.concatenate([fixed, np.ones(len(faces))]))
+        if qg.in_D(v, tol=1e-12):
+            verts.append(v)
+    return np.array(verts)
+
+
+def test_project_constrained_vertex_optimality(rng):
+    for _ in range(300):
+        free = rng.random(3) < 0.5
+        if free.all():
+            continue
+        fixed = random_eta_in_D(rng)[~free]
+        y = rng.uniform(-1.5, 1.5, 3)
+        x = qg.project_constrained(y, free, fixed)
+        assert qg.in_D(x, tol=1e-12)
+        assert np.max(np.abs(x[~free] - fixed)) <= 1e-12
+        verts = _slice_vertices(free, fixed)
+        assert np.max((verts - x) @ (y - x)) <= 1e-12
+
+
 def test_project_constrained_pancake_slice():
     p = qg.project_constrained([1, 1, 0], [True, True, False], [0.0])
     assert np.max(np.abs(p - [0.5, 0.5, 0.0])) < 1e-12
@@ -193,6 +248,20 @@ def test_sw_decompose_random_cube(rng):
         assert qg.in_D(dec.cp1, tol=1e-9)
         assert any(np.array_equal(dec.cp2, v) for v in geometry.VERTICES)
         assert np.max(np.abs(dec.reconstruct() - eta)) < 1e-12
+
+
+def test_non_finite_eta_rejected():
+    bad = [np.nan, 0.0, 0.0]
+    for op in (qg.project_to_D, qg.sw_decompose, qg.pauli_weights, qg.in_D):
+        with pytest.raises(NonFiniteInput):
+            op(bad)
+    with pytest.raises(NonFiniteInput):
+        qg.project_constrained([0, np.inf, 0], [True, True, False], [0.0])
+
+
+def test_bad_eta_shape_rejected():
+    with pytest.raises(BadDimension):
+        qg.pauli_weights([0.0, 0.0])
 
 
 def test_sw_decompose_outside_cube():
