@@ -4,7 +4,8 @@ At a given disturbance budget Eve wants the two probe states she must
 later discriminate to be as distinguishable as possible, i.e. she
 minimises their overlap over the CP channels compatible with the
 protocol's symmetry. The tetrahedron makes the optimum geometric: for the
-four-state protocol eta_y drops to the boundary 2*eta_min - 1, while the
+four-state protocol eta_y drops to the boundary 2*eta_min - 1 (up to
+disturbance 1/3; beyond it to -eta_min, at overlap 0), while the
 six-state symmetry leaves no freedom. The closed forms are checked against
 the explicit probe dilation and a grid search.
 """

@@ -67,8 +67,12 @@ class AffineChannel:
     b: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _readonly(np.reshape(self.A, (3, 3))))
-        object.__setattr__(self, "b", _readonly(np.reshape(self.b, (3,))))
+        try:
+            A, b = np.reshape(self.A, (3, 3)), np.reshape(self.b, (3,))
+        except ValueError as exc:
+            raise BadDimension(f"channel needs a 3x3 A and a 3-vector b: {exc}") from None
+        object.__setattr__(self, "A", _readonly(A))
+        object.__setattr__(self, "b", _readonly(b))
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
             raise NonFiniteInput("channel A and b must be finite")
 

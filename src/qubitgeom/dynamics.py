@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, linalg
-from .errors import NotCP, QubitGeomError
+from .errors import NonFiniteInput, NotCP, QubitGeomError
 
 _ANCILLA_DIM = 4
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class CouplingSpec:
 
     def __post_init__(self):
         a = np.array(self.alpha, dtype=float).reshape(3)
-        if abs(np.sum(a * a) - 1.0) > 1e-12:
+        if not abs(np.sum(a * a) - 1.0) <= 1e-12:  # NaN fails it too
             raise QubitGeomError(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
@@ -51,11 +52,18 @@ class CouplingSpec:
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
 
 
-def eta_of_t(spec: CouplingSpec, t: float) -> np.ndarray:
-    """Closed-form channel parameters after evolving for time t."""
-    c2 = np.cos(t) ** 2
-    s2 = np.sin(t) ** 2
-    return c2 * np.ones(3) + s2 * (2.0 * spec.alpha**2 - 1.0)
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise NonFiniteInput(f"times must be finite, got {t}")
+    return t
+
+
+def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
+    """Closed-form channel parameters after evolving for time t: shape (3,)
+    for a scalar t, (..., 3) for an array of times."""
+    t = _times(t)[..., None]
+    return np.cos(t) ** 2 + np.sin(t) ** 2 * (2.0 * spec.alpha**2 - 1.0)
 
 
 def design_coupling(target) -> tuple[CouplingSpec, float]:
@@ -96,6 +104,7 @@ def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:
 def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarray:
     """Full-Hilbert-space evolution: evolve rho0 (x) |a1><a1| by
     exp(-iHt) and trace out the ancilla."""
+    t = float(_times(t))
     rho0 = linalg.require_hermitian(rho0)
     anc = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
     anc[0, 0] = 1.0
@@ -126,15 +135,11 @@ def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
     t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
     if len(t_grid) > 1 and np.any(np.diff(t_grid) < 0):
         raise QubitGeomError("time grid must be ascending")
-    etas = np.array([eta_of_t(spec, t) for t in t_grid])
-    return Trajectory(t_grid, etas)
+    return Trajectory(t_grid, eta_of_t(spec, t_grid))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV rendering: header t,eta_x,eta_y,eta_z and one row per sample,
     floats at 17 significant digits."""
-    lines = ["t,eta_x,eta_y,eta_z"]
-    for t, eta in zip(traj.times, traj.etas):
-        row = [format(float(v), ".17g") for v in (t, *eta)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    values = np.column_stack([traj.times, traj.etas]).ravel().tolist()
+    return "t,eta_x,eta_y,eta_z\n" + _CSV_ROW * len(traj.times) % tuple(values)

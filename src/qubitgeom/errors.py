@@ -38,7 +38,7 @@ class WeightsNotNormalized(QubitGeomError):
 
 
 class EmptyIntersection(QubitGeomError):
-    """Constrained projection slice does not intersect the CP tetrahedron."""
+    """A constrained projection slice or a search grid misses the CP tetrahedron."""
 
 
 class OutsideCube(QubitGeomError):

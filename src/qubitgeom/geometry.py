@@ -175,8 +175,11 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     when the slice misses D.
     """
     eta = _eta(eta)
-    free = np.asarray(free_mask, dtype=bool).reshape(3)
-    fixed_vals = np.asarray(fixed_values, dtype=float).reshape(int(np.sum(~free)))
+    free = np.asarray(free_mask, dtype=bool).ravel()
+    fixed_vals = np.asarray(fixed_values, dtype=float).ravel()
+    if free.shape != (3,) or fixed_vals.shape != (np.count_nonzero(~free),):
+        raise BadDimension(f"need 3 free flags and one value per pinned axis, "
+                           f"got {free.size} and {fixed_vals.size}")
     return _project_polytope(eta, tuple(free.tolist()), fixed_vals)
 
 

@@ -11,9 +11,11 @@ of correctly guessing an agreed bit from her probe is
 
 where overlap = <E00|E11> is the inner product of the two probe states Eve
 must discriminate. For the four-state protocol overlap = (eta + eta_y)/2,
-so Eve pushes eta_y to the tetrahedron boundary eta_y = 2 eta_min - 1; for
-the six-state protocol overlap = eta and no freedom remains. The optimum
-is valid for nonnegative eta_min, i.e. disturbance at most 1/2.
+so Eve pushes eta_y down to the tetrahedron boundary eta_y = 2 eta_min - 1
+while eta_min >= 1/3 (disturbance at most 1/3); below that the boundary
+passes eta_y = -eta_min, where the overlap vanishes and p_c = 1. For the
+six-state protocol overlap = eta and no freedom remains. Disturbances up to
+1/2 (nonnegative eta_min) are supported.
 
 probe_overlaps_dilation recomputes D, F and the overlap from an explicit
 four-dimensional probe dilation with Kraus pieces sqrt(p_k) sigma_k, and
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DisturbanceOutOfRange, NotCP, SymmetryViolation
+from .errors import DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation
 from .linalg import PAULIS
 
 _SYMMETRY_TOL = 1e-9
@@ -97,13 +99,15 @@ def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
 
     Minimises |<E00|E11>| over the CP channels with symmetric component at
     least eta_min = 1 - 2 d_max; the minimiser sits on the tetrahedron
-    boundary (four-state) or is forced to eta = eta_min (six-state).
+    boundary or, for d_max > 1/3, at overlap 0 (four-state), or is forced
+    to eta = eta_min (six-state).
     """
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
     if protocol is Protocol.FOUR_STATE:
-        eta = np.array([eta_min, 2.0 * eta_min - 1.0, eta_min])
+        eta_y = max(2.0 * eta_min - 1.0, -eta_min) + 0.0  # + 0.0: no -0 at d_max = 1/2
+        eta = np.array([eta_min, eta_y, eta_min])
     else:
         eta = np.array([eta_min, eta_min, eta_min])
     ov = overlap(protocol, eta)
@@ -149,7 +153,8 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
 
     Scans the protocol's free eta components over the CP region with
     symmetric component >= eta_min, minimising |overlap|; ties are broken
-    by lexicographically smallest eta.
+    by lexicographically smallest eta. Raises EmptyIntersection when no
+    grid point is an allowed attack.
     """
     if not 0.0 < resolution <= 0.1:
         raise DisturbanceOutOfRange(f"resolution {resolution} outside (0, 0.1]")
@@ -157,17 +162,19 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
     sym_grid = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
+    # Both grids ascend, so the first minimum in row-major order is the
+    # lexicographically smallest of the ties.
     if protocol is Protocol.SIX_STATE:
         # Diagonal segment of D: every grid point with s in [eta_min, 1] is CP.
-        vals = np.abs(sym_grid)
-        k = int(np.lexsort((sym_grid, vals))[0])
-        s = sym_grid[k]
+        s = sym_grid[np.argmin(np.abs(sym_grid))]
         return np.array([s, s, s])
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
-    S, Y = np.meshgrid(sym_grid, y_grid, indexing="ij")
-    pts = np.stack([S.ravel(), Y.ravel(), S.ravel()], axis=1)
-    feasible = np.all(pts @ geometry.FACE_NORMALS.T <= 1.0 + 1e-9, axis=1)
-    pts = pts[feasible]
-    vals = np.abs((pts[:, 0] + pts[:, 1]) / 2.0)
-    k = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], vals))[0])
-    return pts[k]
+    s, y = sym_grid[:, None], y_grid[None, :]
+    # face products of (s, y, s), summed left to right as a matmul sums them
+    feasible = np.all([n[0] * s + n[1] * y + n[2] * s <= 1.0 + 1e-9
+                       for n in geometry.FACE_NORMALS], axis=0)
+    if not feasible.any():
+        raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")
+    vals = np.where(feasible, np.abs((s + y) / 2.0), np.inf)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    return np.array([sym_grid[i], y_grid[j], sym_grid[i]])

@@ -3,7 +3,8 @@ import pytest
 
 import qubitgeom as qg
 from qubitgeom import geometry
-from qubitgeom.errors import NonFiniteInput, NotCP, NotUnital, UnknownName, UnphysicalBloch
+from qubitgeom.errors import (BadDimension, NonFiniteInput, NotCP, NotUnital, UnknownName,
+                             UnphysicalBloch)
 
 from conftest import random_eta_in_D, random_rotation
 
@@ -101,6 +102,15 @@ def test_affine_channel_rejects_non_finite():
         qg.AffineChannel.from_eta([np.nan, 0, 0])
     with pytest.raises(NonFiniteInput):
         qg.AffineChannel(np.eye(3), [0, np.inf, 0])
+
+
+def test_affine_channel_rejects_bad_shape():
+    for A, b in (([[1, 0], [0, 1]], np.zeros(3)), ([[1, 0, 0], [0, 1]], np.zeros(3)),
+                 (np.eye(3), [0.0, 0.0])):
+        with pytest.raises(BadDimension):
+            qg.AffineChannel(A, b)
+    with pytest.raises(BadDimension):
+        qg.channel_from_json({"A": [[1, 0], [0, 1]]})
 
 
 def _band_points():

@@ -205,3 +205,25 @@ def test_dynamics_rejects_empty_grid(steps):
     assert proc.returncode == 2 and proc.stdout == b""
     err = json.loads(proc.stderr)
     assert "error" in err and "--steps" in err["message"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["qkd", "--protocol", "four-state", "--dmax", "0", "--grid-resolution", "0.03"],
+     "EmptyIntersection"),
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "nan", "--steps", "2"],
+     "NonFiniteInput"),
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1",
+      "--t", "inf"], "NonFiniteInput"),
+])
+def test_validation_errors_exit_2(argv, error):
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert json.loads(proc.stderr)["error"] == error
+
+
+def test_bad_matrix_shape_exit_code(tmp_path):
+    f = tmp_path / "ch.json"
+    f.write_text('{"A": [[1, 0], [0, 1]]}')
+    proc = run_cli("check", "--in", str(f), check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "BadDimension"

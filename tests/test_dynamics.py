@@ -3,7 +3,7 @@ import pytest
 
 import qubitgeom as qg
 from qubitgeom import dynamics
-from qubitgeom.errors import NotCP, QubitGeomError
+from qubitgeom.errors import NonFiniteInput, NotCP, QubitGeomError
 
 from conftest import random_density, random_eta_in_D
 
@@ -19,6 +19,8 @@ def test_coupling_spec_normalisation():
         dynamics.CouplingSpec([1.0, 1.0, 0.0])
     with pytest.raises(QubitGeomError):
         dynamics.CouplingSpec.from_alpha2([0.5, 0.6, -0.1])
+    with pytest.raises(QubitGeomError):
+        dynamics.CouplingSpec.from_alpha2([np.nan, 0.5, 0.5])
 
 
 def test_eta_of_t_landmarks(rng):
@@ -128,6 +130,57 @@ def test_trajectory_collinear_segment():
 def test_trajectory_rejects_descending_grid():
     with pytest.raises(QubitGeomError):
         qg.trajectory(EQUAL, [1.0, 0.5])
+
+
+def test_eta_of_t_batch_shapes(rng):
+    spec = random_spec(rng)
+    assert qg.eta_of_t(spec, 0.5).shape == (3,)
+    times = rng.uniform(0, np.pi, (2, 5))
+    etas = qg.eta_of_t(spec, times)
+    assert etas.shape == (2, 5, 3)
+    assert np.array_equal(etas[1, 3], qg.eta_of_t(spec, times[1, 3]))
+
+
+def test_trajectory_matches_per_t_loop(rng):
+    # the per-t loop trajectory replaced; np.float64 ** 2 and the array
+    # square can differ in the last place, so the bound is 1 ulp of 1
+    spec = random_spec(rng)
+    times = np.sort(rng.uniform(0, 2 * np.pi, 5000))
+    etas = qg.trajectory(spec, times).etas
+    loop = np.array([np.cos(t) ** 2 * np.ones(3) + np.sin(t) ** 2 * (2.0 * spec.alpha**2 - 1.0)
+                     for t in times])
+    assert np.max(np.abs(etas - loop)) <= 2.3e-16
+    scalar = np.array([qg.eta_of_t(spec, t) for t in times])
+    assert np.max(np.abs(etas - scalar)) <= 2.3e-16
+
+
+def _reference_csv(traj):
+    """Per-value rendering that trajectory_to_csv replaced."""
+    lines = ["t,eta_x,eta_y,eta_z"]
+    for t, eta in zip(traj.times, traj.etas):
+        lines.append(",".join(format(float(v), ".17g") for v in (t, *eta)))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_reference(rng):
+    spec = random_spec(rng)
+    odd = dynamics.Trajectory([-0.0, 5e-324, 1e300],
+                              [[np.nan, np.inf, -np.inf], [-0.0, 1e-17, 1 / 3], [2.0**60, -1.5, 0.1]])
+    for traj in (qg.trajectory(spec, np.linspace(0, np.pi, 2001)),
+                 qg.trajectory(spec, []), odd):
+        assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
+
+
+def test_non_finite_times_rejected(rng):
+    spec = random_spec(rng)
+    for t in (np.nan, np.inf, [0.0, np.inf]):
+        with pytest.raises(NonFiniteInput):
+            qg.eta_of_t(spec, t)
+    for grid in ([0.0, np.nan], [0.0, np.inf], [np.nan]):
+        with pytest.raises(NonFiniteInput):
+            qg.trajectory(spec, grid)
+    with pytest.raises(NonFiniteInput):
+        qg.simulate_reduced(spec, np.inf, random_density(rng))
 
 
 def test_trajectory_csv_format():

@@ -262,6 +262,10 @@ def test_non_finite_eta_rejected():
 def test_bad_eta_shape_rejected():
     with pytest.raises(BadDimension):
         qg.pauli_weights([0.0, 0.0])
+    for free, fixed in (([True, False], [0.0]), ([True, True, False], [0.0, 1.0]),
+                        ([True, False, False], [0.0])):
+        with pytest.raises(BadDimension):
+            qg.project_constrained([0, 0, 0], free, fixed)
 
 
 def test_sw_decompose_outside_cube():

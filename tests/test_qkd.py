@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import qkd
-from qubitgeom.errors import DisturbanceOutOfRange, NotCP, SymmetryViolation
+from qubitgeom import geometry, qkd
+from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
+                             SymmetryViolation)
 
 FOUR = qg.Protocol.FOUR_STATE
 SIX = qg.Protocol.SIX_STATE
@@ -62,6 +63,18 @@ def test_optimal_attack_consistency(rng):
             eta_sym = r.eta[0]
             assert abs(r.disturbance - (1 - eta_sym) / 2) < 1e-12
             assert abs(r.p_c - (0.5 + 0.5 * np.sqrt(1 - r.overlap**2 / r.fidelity))) < 1e-12
+
+
+def test_optimal_attack_beyond_one_third():
+    # for eta_min < 1/3 the face eta_y = 2 eta_min - 1 overshoots overlap 0,
+    # and (eta_min, -eta_min, eta_min) in D reaches it
+    for d in np.append(np.linspace(1 / 3, 0.5, 13)[1:], [0.35, 0.4, 0.45]):
+        r = qg.optimal_attack(FOUR, d)
+        assert qg.in_D(r.eta, tol=1e-12)
+        assert r.disturbance == d and r.eta[0] == 1 - 2 * d
+        assert abs(r.overlap) == 0.0 and r.p_c == 1.0
+        grid = qg.brute_force_optimum(FOUR, d, 1e-2)
+        assert abs(r.overlap) <= abs(qg.overlap(FOUR, grid))
 
 
 def test_optimal_attack_range():
@@ -123,6 +136,49 @@ def test_brute_force_matches_closed_form():
 def test_brute_force_trivial_cases():
     assert np.allclose(qg.brute_force_optimum(FOUR, 0.0, 1e-3), [1, 1, 1])
     assert np.allclose(qg.brute_force_optimum(SIX, 0.3, 1e-3), [0.4, 0.4, 0.4])
+
+
+def test_brute_force_empty_grid():
+    # at d = 0 only eta = (1, 1, 1) is allowed, and the y grid at 0.03 misses 1
+    with pytest.raises(EmptyIntersection):
+        qg.brute_force_optimum(FOUR, 0.0, 0.03)
+
+
+def _reference_brute_force(protocol, d_max, resolution):
+    """The meshgrid and lexsort grid search that brute_force_optimum
+    replaced, kept as the oracle for its results."""
+    eta_min = 1.0 - 2.0 * d_max
+    sym_grid = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
+    if protocol is SIX:
+        vals = np.abs(sym_grid)
+        k = int(np.lexsort((sym_grid, vals))[0])
+        s = sym_grid[k]
+        return np.array([s, s, s])
+    y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
+    S, Y = np.meshgrid(sym_grid, y_grid, indexing="ij")
+    pts = np.stack([S.ravel(), Y.ravel(), S.ravel()], axis=1)
+    feasible = np.all(pts @ geometry.FACE_NORMALS.T <= 1.0 + 1e-9, axis=1)
+    pts = pts[feasible]
+    vals = np.abs((pts[:, 0] + pts[:, 1]) / 2.0)
+    k = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], vals))[0])
+    return pts[k]
+
+
+@pytest.mark.parametrize("resolution", [1e-3, 2e-3, 5e-3, 1e-2, 3.7e-3])
+def test_brute_force_bit_identical_to_reference(resolution):
+    compared = 0
+    for d in np.linspace(0, 0.5, 51):
+        for proto in (FOUR, SIX):
+            try:
+                expected = _reference_brute_force(proto, d, resolution)
+            except IndexError:  # empty grid: the reference has no answer
+                with pytest.raises(EmptyIntersection):
+                    qg.brute_force_optimum(proto, d, resolution)
+                continue
+            got = qg.brute_force_optimum(proto, d, resolution)
+            assert got.tobytes() == expected.tobytes(), (proto, d)
+            compared += 1
+    assert compared >= 100
 
 
 def test_pc_monotone_and_protocol_ordering():
