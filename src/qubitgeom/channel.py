@@ -22,18 +22,12 @@ import numpy as np
 from . import linalg
 from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
                      UnphysicalBloch)
-from .linalg import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, _freeze
 
 UNITAL_TOL = 1e-12
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def bloch_to_density(s: np.ndarray) -> np.ndarray:
@@ -42,6 +36,8 @@ def bloch_to_density(s: np.ndarray) -> np.ndarray:
     if s.shape != (3,):
         raise BadDimension(f"Bloch vector must have 3 components, got {s.shape}")
     norm = np.linalg.norm(s)
+    if not np.isfinite(norm):
+        raise NonFiniteInput(f"Bloch vector must be finite, got {s}")
     if norm > 1.0 + 1e-10:
         raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
     rho = 0.5 * (np.eye(2, dtype=complex) + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
@@ -67,13 +63,8 @@ class AffineChannel:
     b: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        try:
-            A, b = np.reshape(self.A, (3, 3)), np.reshape(self.b, (3,))
-        except ValueError as exc:
-            raise BadDimension(f"channel needs a 3x3 A and a 3-vector b: {exc}") from None
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "b", _readonly(b))
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+        A, b = _freeze(self, "A", (3, 3)), _freeze(self, "b", (3,))
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise NonFiniteInput("channel A and b must be finite")
 
     @classmethod
@@ -136,7 +127,7 @@ def is_cp(ch: AffineChannel, tol: float = 1e-9) -> tuple[bool, float]:
     >= -tol. For a diagonal map 4 * min_eigenvalue = 1 - max_k n_k . eta, so
     tol is the face slack that in_D allows, in the same eta units.
     """
-    w, _ = linalg.hermitian_eig(choi(ch))
+    w, _ = np.linalg.eigh(choi(ch))
     min_eig = float(w[0])
     return 4.0 * min_eig >= -tol, min_eig
 
@@ -162,9 +153,9 @@ class CanonicalForm:
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", _readonly(np.reshape(self.Q, (3, 3))))
-        object.__setattr__(self, "delta", _readonly(np.reshape(self.delta, (3,))))
-        object.__setattr__(self, "R", _readonly(np.reshape(self.R, (3, 3))))
+        _freeze(self, "Q", (3, 3))
+        _freeze(self, "delta", (3,))
+        _freeze(self, "R", (3, 3))
 
     def reconstruct(self) -> np.ndarray:
         return self.Q @ np.diag(self.delta) @ self.Q.T @ self.R

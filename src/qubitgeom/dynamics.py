@@ -25,9 +25,16 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import NonFiniteInput, NotCP, QubitGeomError
+from .linalg import _freeze
 
 _ANCILLA_DIM = 4
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+
+
+# Axis i holds sigma_i (x) (|a1><a(i+2)| + h.c.); H is alpha . _GENERATORS.
+_E = np.eye(_ANCILLA_DIM, dtype=complex)
+_GENERATORS = np.array([np.kron(sigma, np.outer(_E[0], _E[i]) + np.outer(_E[i], _E[0]))
+                        for i, sigma in enumerate(linalg.PAULIS) if i])
 
 
 @dataclass(frozen=True)
@@ -37,17 +44,15 @@ class CouplingSpec:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.alpha, dtype=float).reshape(3)
+        a = _freeze(self, "alpha", (3,))
         if not abs(np.sum(a * a) - 1.0) <= 1e-12:  # NaN fails it too
             raise QubitGeomError(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
 
     @classmethod
     def from_alpha2(cls, alpha2) -> "CouplingSpec":
         """Build from the squared couplings (nonnegative, summing to 1)."""
-        a2 = np.asarray(alpha2, dtype=float).reshape(3)
-        if np.min(a2) < -1e-12:
+        a2 = np.asarray(alpha2, dtype=float)
+        if np.any(a2 < -1e-12):
             raise QubitGeomError("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
 
@@ -69,36 +74,27 @@ def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
 def design_coupling(target) -> tuple[CouplingSpec, float]:
     """Couplings and time that generate a given CP diagonal channel.
 
-    Inverts eta_of_t: writes target = cos^2(t) (1,1,1) + sin^2(t) f with f
-    on the face of the tetrahedron opposite the identity. Returns t in
-    [0, pi/2]; the identity target is degenerate and yields t = 0 with the
-    conventional coupling (1, 0, 0).
+    Inverts eta_of_t through the Pauli weights (p_I, p_x, p_y, p_z) of the
+    target: eta_of_t is the mixture with p_I = cos^2(t) and p_k =
+    sin^2(t) alpha_k^2, so sin^2(t) = 1 - p_I and alpha^2 is (p_x, p_y,
+    p_z) renormalised. Returns t in [0, pi/2]; the identity target is
+    degenerate and yields t = 0 with the conventional coupling (1, 0, 0).
     """
-    target = np.asarray(target, dtype=float).reshape(3)
+    target = np.asarray(target, dtype=float)
     if not geometry.in_D(target, tol=1e-9):
         raise NotCP(f"target {target} is not a CP diagonal channel")
-    s2 = (3.0 - np.sum(target)) / 4.0
+    p = geometry.pauli_weights(target).p
+    s2 = 1.0 - p[0]
     if s2 <= 1e-15:
         return CouplingSpec(np.array([1.0, 0.0, 0.0])), 0.0
-    c2 = 1.0 - s2
-    f = (target - c2) / s2
-    alpha2 = (f + 1.0) / 2.0
-    alpha2 = np.clip(alpha2, 0.0, None)
-    alpha2 = alpha2 / np.sum(alpha2)
+    alpha2 = np.clip(p[1:], 0.0, None)
     t = float(np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0))))
-    return CouplingSpec.from_alpha2(alpha2), t
+    return CouplingSpec.from_alpha2(alpha2 / np.sum(alpha2)), t
 
 
 def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:
     """The 8-dimensional coupling Hamiltonian (qubit (x) ancilla)."""
-    H = np.zeros((8, 8), dtype=complex)
-    paulis = (linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
-    for i, (a, sigma) in enumerate(zip(spec.alpha, paulis)):
-        hop = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
-        hop[0, i + 1] = 1.0
-        hop[i + 1, 0] = 1.0
-        H += a * np.kron(sigma, hop)
-    return H
+    return np.tensordot(spec.alpha, _GENERATORS, axes=1)
 
 
 def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarray:
@@ -122,12 +118,8 @@ class Trajectory:
     etas: np.ndarray  # shape (n, 3)
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).reshape(-1)
-        etas = np.array(self.etas, dtype=float).reshape(len(times), 3)
-        times.setflags(write=False)
-        etas.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "etas", etas)
+        times = _freeze(self, "times", (-1,))
+        _freeze(self, "etas", (len(times), 3))
 
 
 def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:

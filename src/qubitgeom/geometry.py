@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (BadDimension, EmptyIntersection, NonFiniteInput, OutsideCube,
                      WeightsNotNormalized)
+from .linalg import _freeze
 
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
@@ -83,9 +84,7 @@ class PauliMixture:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float).reshape(4)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        _freeze(self, "p", (4,))
 
     @property
     def signed(self) -> bool:
@@ -101,7 +100,9 @@ def pauli_weights(eta) -> PauliMixture:
 def mixture_to_eta(p) -> np.ndarray:
     """Convex (or affine) combination of the vertices; inverse of
     pauli_weights."""
-    p = np.asarray(p.p if isinstance(p, PauliMixture) else p, dtype=float)
+    p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
+    if not np.isfinite(p).all():
+        raise NonFiniteInput(f"weights must be finite, got {p}")
     if abs(p.sum() - 1.0) > 1e-12:
         raise WeightsNotNormalized(f"weights sum to {p.sum()}, expected 1")
     return VERTICES.T @ p
@@ -180,6 +181,8 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     if free.shape != (3,) or fixed_vals.shape != (np.count_nonzero(~free),):
         raise BadDimension(f"need 3 free flags and one value per pinned axis, "
                            f"got {free.size} and {fixed_vals.size}")
+    if not np.isfinite(fixed_vals).all():
+        raise NonFiniteInput(f"pinned values must be finite, got {fixed_vals}")
     return _project_polytope(eta, tuple(free.tolist()), fixed_vals)
 
 

@@ -18,6 +18,18 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
+def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
+    """Store obj.<name> as a read-only float copy reshaped to shape; for the
+    __post_init__ of frozen value types. Raises BadDimension on a mismatch."""
+    try:
+        a = np.array(getattr(obj, name), dtype=float).reshape(shape)
+    except ValueError as exc:
+        raise BadDimension(f"{type(obj).__name__}.{name} needs shape {shape}: {exc}") from None
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
+    return a
+
+
 def require_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

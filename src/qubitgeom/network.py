@@ -1,10 +1,12 @@
 """Quantum-network simulation of unital single-qubit channels.
 
-Any unital CP channel factors (see channel.canonical_form) into a rotation,
-a diagonal Pauli mixture, and another rotation. The network realises the
-mixture with an ancilla register prepared in a superposition whose
-amplitude-squares are the mixture weights; only those weights matter for
-the induced channel, so amplitudes are kept real and nonnegative here.
+Any unital channel factors (see channel.canonical_form) into a rotation, a
+diagonal map delta, and another rotation; it is CP exactly when delta lies
+in the tetrahedron D, and then delta is a Pauli mixture whose weights are
+the Choi eigenvalues of the channel. The network realises the mixture with
+an ancilla register prepared in a superposition whose amplitude-squares are
+the mixture weights; only those weights matter for the induced channel, so
+amplitudes are kept real and nonnegative here.
 
 run_exact applies the three stages on the density matrix directly;
 run_sampled draws mixture branches with a seeded generator (numpy PCG64)
@@ -20,9 +22,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry
 from .errors import NotCP, NotUnital, QubitGeomError
-
-# Bloch-rotation matrices of the four Pauli conjugations.
-_VERTEX_ROTATIONS = [np.diag(v) for v in geometry.VERTICES]
+from .linalg import _freeze
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,12 @@ class NetworkSpec:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        u1 = np.array(self.u1, dtype=float).reshape(3, 3)
-        u2 = np.array(self.u2, dtype=float).reshape(3, 3)
-        amps = np.array(self.amplitudes, dtype=float).reshape(4)
-        if abs(np.sum(amps**2) - 1.0) > 1e-12:
+        amps = _freeze(self, "amplitudes", (4,))
+        if not abs(np.sum(amps**2) - 1.0) <= 1e-12:  # NaN fails it too
             raise QubitGeomError("amplitudes must have unit square-sum")
-        for M in (u1, u2):
-            if np.max(np.abs(M.T @ M - np.eye(3))) > 1e-10 or np.linalg.det(M) < 0:
+        for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
+            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= 1e-10 and np.linalg.det(M) >= 0):
                 raise QubitGeomError("u1, u2 must be proper rotations")
-        for a in (u1, u2, amps):
-            a.setflags(write=False)
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def weights(self) -> np.ndarray:
@@ -69,33 +62,25 @@ class NetworkSpec:
 def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     """Compile a unital CP channel into the rotation/mixture/rotation form.
 
-    The canonical factorisation A = Q diag(delta) Q^T R may hand back a
-    signed diagonal outside the CP tetrahedron even for CP input; flipping
-    two signs of delta is itself a pi-rotation, which is folded into the
-    pre-rotation. Diagonal CP channels compile without rotations.
+    A diagonal channel compiles without rotations; any other is factored as
+    A = Q diag(delta) Q^T R. The channel is CP exactly when delta lies in D,
+    and the Pauli weights of delta are then its Choi eigenvalues, so NotCP
+    reports the smallest weight. No sign flip can rescue a delta outside D:
+    flipping two signs of delta permutes the face normals of D, so the
+    flipped delta has the same face slacks.
     """
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
-    ok, min_eig = qchannel.is_cp(ch)
-    if not ok:
-        raise NotCP(f"channel is not CP (Choi min eigenvalue {min_eig:.3e})")
-
-    if ch.is_diagonal and geometry.in_D(ch.eta):
-        weights = np.clip(geometry.pauli_weights(ch.eta).p, 0.0, None)
-        amps = np.sqrt(weights / np.sum(weights))
-        return NetworkSpec(np.eye(3), np.eye(3), amps)
-
-    form = qchannel.canonical_form(ch)
-    for flip in _VERTEX_ROTATIONS:
-        v = np.diag(flip)
-        delta = form.delta * v
-        if geometry.in_D(delta):
-            u1 = flip @ form.Q.T @ form.R
-            u2 = form.Q
-            weights = np.clip(geometry.pauli_weights(delta).p, 0.0, None)
-            amps = np.sqrt(weights / np.sum(weights))
-            return NetworkSpec(u1, u2, amps)
-    raise NotCP("no sign convention places the diagonal inside the tetrahedron")
+    if ch.is_diagonal:
+        delta, u1, u2 = ch.eta, np.eye(3), np.eye(3)
+    else:
+        form = qchannel.canonical_form(ch)
+        delta, u1, u2 = form.delta, form.Q.T @ form.R, form.Q
+    weights = geometry.pauli_weights(delta).p
+    if not geometry.in_D(delta):
+        raise NotCP(f"channel is not CP (Choi min eigenvalue {weights.min():.3e})")
+    weights = np.clip(weights, 0.0, None)
+    return NetworkSpec(u1, u2, np.sqrt(weights / np.sum(weights)))
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:

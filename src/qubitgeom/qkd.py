@@ -110,10 +110,8 @@ def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
         eta = np.array([eta_min, eta_y, eta_min])
     else:
         eta = np.array([eta_min, eta_min, eta_min])
-    ov = overlap(protocol, eta)
-    F = (1.0 + eta_min) / 2.0
-    p_c = 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
-    return AttackReport(protocol, eta, d_max, 1.0 - d_max, ov, float(p_c))
+    p_c = success_probability(protocol, eta)
+    return AttackReport(protocol, eta, d_max, 1.0 - d_max, overlap(protocol, eta), float(p_c))
 
 
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:

@@ -27,6 +27,9 @@ def test_bloch_to_density_purity(rng):
 def test_bloch_to_density_rejects_unphysical():
     with pytest.raises(UnphysicalBloch):
         qg.bloch_to_density([1.1, 0, 0])
+    for s in ([np.nan, 0, 0], [0, np.inf, 0]):
+        with pytest.raises(NonFiniteInput):
+            qg.bloch_to_density(s)
 
 
 def test_density_bloch_roundtrip(rng):
@@ -113,6 +116,23 @@ def test_affine_channel_rejects_bad_shape():
         qg.channel_from_json({"A": [[1, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: qg.CanonicalForm(np.eye(2), np.ones(3), np.eye(3)), id="CanonicalForm"),
+    pytest.param(lambda: qg.PauliMixture([0.5, 0.5, 0.0]), id="PauliMixture"),
+    pytest.param(lambda: qg.NetworkSpec.from_json(
+        {"u1": [[1, 0], [0, 1]], "u2": np.eye(3).tolist(), "amplitudes": [1, 0, 0, 0]}),
+        id="NetworkSpec.from_json"),
+    pytest.param(lambda: qg.CouplingSpec([1.0, 0.0]), id="CouplingSpec"),
+    pytest.param(lambda: qg.CouplingSpec.from_alpha2([1.0, 0.0]), id="CouplingSpec.from_alpha2"),
+    pytest.param(lambda: qg.Trajectory([0.0, 1.0], [[1.0, 1.0, 1.0]]), id="Trajectory"),
+    pytest.param(lambda: qg.mixture_to_eta([0.5, 0.5, 0.0]), id="mixture_to_eta"),
+    pytest.param(lambda: qg.design_coupling([0.5, 0.5]), id="design_coupling"),
+])
+def test_bad_shapes_raise_bad_dimension(make):
+    with pytest.raises(BadDimension):
+        make()
+
+
 def _band_points():
     """Points just outside D: the symmetric one behind the face opposite the
     identity, and one point behind each face at face slack 2e-9 and 3e-9."""
@@ -123,20 +143,21 @@ def _band_points():
     return pts
 
 
-def test_cp_threshold_agrees_with_tetrahedron_in_band():
+def test_cp_threshold_agrees_with_tetrahedron_in_band(rng):
     for eta in _band_points():
         slack = np.max(geometry.FACE_NORMALS @ eta) - 1.0
         assert 1.5e-9 < slack < 3.5e-9
-        ch = qg.AffineChannel.from_eta(eta)
-        flag, _ = qg.is_cp(ch)
-        assert flag == qg.in_D(eta)
-        assert not flag
-        try:
-            qg.compile_channel(ch)
-            compiled = True
-        except NotCP:
-            compiled = False
-        assert compiled == flag
+        rotated = random_rotation(rng) @ np.diag(eta) @ random_rotation(rng)
+        for ch in (qg.AffineChannel.from_eta(eta), qg.AffineChannel(rotated)):
+            flag, _ = qg.is_cp(ch)
+            assert flag == qg.in_D(eta)
+            assert not flag
+            try:
+                qg.compile_channel(ch)
+                compiled = True
+            except NotCP:
+                compiled = False
+            assert compiled == flag
 
 
 def test_is_cp_named_maps():

@@ -214,6 +214,13 @@ def test_dynamics_rejects_empty_grid(steps):
      "NonFiniteInput"),
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1",
       "--t", "inf"], "NonFiniteInput"),
+    (["run", "--eta", ".5", ".5", ".5", "--state", "nan", "0", "0"], "NonFiniteInput"),
+    (["run", "--eta", ".5", ".5", ".5", "--state", "nan", "0", "0", "--n", "10"],
+     "NonFiniteInput"),
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "nan", "0", "0",
+      "--t", "1"], "NonFiniteInput"),
+    (["weights", "--eta", "0", "0", "0", "--from-p", "nan", "0", "0", "1"], "NonFiniteInput"),
+    (["project", "--eta", "1", "1", "0", "--fix", "z=nan"], "NonFiniteInput"),
 ])
 def test_validation_errors_exit_2(argv, error):
     proc = run_cli(*argv, check=False)

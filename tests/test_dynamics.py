@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import dynamics
+from qubitgeom import dynamics, linalg
 from qubitgeom.errors import NonFiniteInput, NotCP, QubitGeomError
 
 from conftest import random_density, random_eta_in_D
@@ -73,7 +73,26 @@ def test_design_coupling_roundtrip(rng):
         target = random_eta_in_D(rng)
         spec, t = qg.design_coupling(target)
         assert 0.0 <= t <= np.pi / 2 + 1e-12
-        assert np.max(np.abs(qg.eta_of_t(spec, t) - target)) < 1e-10
+        assert np.max(np.abs(qg.eta_of_t(spec, t) - target)) < 2e-15
+
+
+def _reference_hamiltonian(spec):
+    """The Hamiltonian summed axis by axis from Kronecker products."""
+    H = np.zeros((8, 8), dtype=complex)
+    paulis = (linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
+    for i, (a, sigma) in enumerate(zip(spec.alpha, paulis)):
+        hop = np.zeros((4, 4), dtype=complex)
+        hop[0, i + 1] = hop[i + 1, 0] = 1.0
+        H += a * np.kron(sigma, hop)
+    return H
+
+
+def test_total_hamiltonian_bit_identical_to_reference(rng):
+    alphas = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [-0.0, 0.6, -0.8]]
+    alphas += [a / np.linalg.norm(a) for a in rng.standard_normal((500, 3))]
+    for alpha in alphas:
+        spec = dynamics.CouplingSpec(alpha)
+        assert dynamics.total_hamiltonian(spec).tobytes() == _reference_hamiltonian(spec).tobytes()
 
 
 def test_simulate_reduced_t0_and_depolarizing(rng):

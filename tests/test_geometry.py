@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -49,6 +49,14 @@ def test_in_D_examples():
     assert qg.in_D([-1 / 3, -1 / 3, -1 / 3])
 
 
+def test_face_normals_closed_under_flips_and_permutations():
+    faces = sorted(map(tuple, geometry.FACE_NORMALS))
+    for v in geometry.VERTICES:  # the identity and the three two-sign flips
+        assert sorted(map(tuple, geometry.FACE_NORMALS * v)) == faces
+    for perm in permutations(range(3)):
+        assert sorted(map(tuple, geometry.FACE_NORMALS[:, perm])) == faces
+
+
 def test_in_D_matches_inequalities(rng):
     for eta in rng.uniform(-1, 1, (500, 3)):
         x, y, z = eta
@@ -79,6 +87,8 @@ def test_weights_roundtrip(rng):
 def test_mixture_to_eta_rejects_unnormalised():
     with pytest.raises(WeightsNotNormalized):
         qg.mixture_to_eta(np.array([0.5, 0.5, 0.5, 0.5]))
+    with pytest.raises(NonFiniteInput):
+        qg.mixture_to_eta([np.nan, 0.0, 0.0, 1.0])
 
 
 # ------------------------------------------------------------ projection
@@ -257,6 +267,8 @@ def test_non_finite_eta_rejected():
             op(bad)
     with pytest.raises(NonFiniteInput):
         qg.project_constrained([0, np.inf, 0], [True, True, False], [0.0])
+    with pytest.raises(NonFiniteInput):
+        qg.project_constrained([1, 1, 0], [True, True, False], [np.nan])
 
 
 def test_bad_eta_shape_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import network
+from qubitgeom import geometry, network, serialize
 from qubitgeom.errors import NotCP, NotUnital, QubitGeomError
 
 from conftest import random_density, random_eta_in_D, random_rotation, trace_distance
@@ -103,10 +103,14 @@ def test_run_sampled_rejects_bad_count(rng):
 
 
 def test_network_spec_validation():
+    nan_rotation = np.eye(3)
+    nan_rotation[0, 1] = np.nan
+    for u1, amps in ((np.eye(3), [1.0, 1.0, 0.0, 0.0]), (2 * np.eye(3), [1.0, 0.0, 0.0, 0.0]),
+                     (np.eye(3), [np.nan, 0.0, 0.0, 0.0]), (nan_rotation, [1.0, 0.0, 0.0, 0.0])):
+        with pytest.raises(QubitGeomError):
+            qg.NetworkSpec(u1, np.eye(3), amps)
     with pytest.raises(QubitGeomError):
-        qg.NetworkSpec(np.eye(3), np.eye(3), [1.0, 1.0, 0.0, 0.0])
-    with pytest.raises(QubitGeomError):
-        qg.NetworkSpec(2 * np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0])
+        qg.NetworkSpec(np.eye(3), nan_rotation, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_network_spec_json_roundtrip(rng):
@@ -115,3 +119,62 @@ def test_network_spec_json_roundtrip(rng):
     assert np.max(np.abs(back.u1 - spec.u1)) < 1e-15
     assert np.max(np.abs(back.u2 - spec.u2)) < 1e-15
     assert np.max(np.abs(back.amplitudes - spec.amplitudes)) < 1e-15
+
+
+def _reference_compile(ch: qg.AffineChannel) -> qg.NetworkSpec:
+    """The compiler before it read CP off the canonical diagonal: a Choi test
+    first, then a search over the two-sign flips of delta."""
+    if not ch.is_unital:
+        raise NotUnital("the network realises unital channels only")
+    ok, min_eig = qg.is_cp(ch)
+    if not ok:
+        raise NotCP(f"channel is not CP (Choi min eigenvalue {min_eig:.3e})")
+    if ch.is_diagonal and qg.in_D(ch.eta):
+        weights = np.clip(qg.pauli_weights(ch.eta).p, 0.0, None)
+        return qg.NetworkSpec(np.eye(3), np.eye(3), np.sqrt(weights / np.sum(weights)))
+    form = qg.canonical_form(ch)
+    for v in geometry.VERTICES:
+        delta = form.delta * v
+        if qg.in_D(delta):
+            u1 = np.diag(v) @ form.Q.T @ form.R
+            weights = np.clip(qg.pauli_weights(delta).p, 0.0, None)
+            return qg.NetworkSpec(u1, form.Q, np.sqrt(weights / np.sum(weights)))
+    raise NotCP("no sign convention places the diagonal inside the tetrahedron")
+
+
+def _equivalence_channels(rng, n):
+    """Rotated channels (half of them within 3e-9 of a face of D), diagonal
+    channels and signed permutations of diagonals, each diagonal with one
+    exact zero."""
+    for i in range(n):
+        eta = rng.uniform(-1, 1, 3)
+        if i % 3 == 0:
+            if i % 2:
+                k = np.argmax(geometry.FACE_NORMALS @ eta)
+                n_k = geometry.FACE_NORMALS[k]
+                eta = eta + n_k * (1.0 - n_k @ eta + rng.uniform(-3e-9, 3e-9)) / 3
+            yield random_rotation(rng) @ np.diag(eta) @ random_rotation(rng)
+            continue
+        eta[rng.integers(3)] = 0.0
+        if i % 3 == 1:
+            yield np.diag(eta)
+        else:
+            signs = rng.choice([-1.0, 1.0], 3)
+            yield np.eye(3)[rng.permutation(3)] @ np.diag(signs * eta)
+
+
+def _compile_outcome(compile_fn, ch):
+    try:
+        return serialize.dumps(compile_fn(ch).to_json())
+    except NotCP as exc:
+        return f"NotCP: {exc}"
+
+
+def test_compile_matches_reference(rng):
+    outcomes = []
+    for A in _equivalence_channels(rng, 2400):
+        ch = qg.AffineChannel(A, np.zeros(3))
+        outcomes.append(_compile_outcome(qg.compile_channel, ch))
+        assert outcomes[-1] == _compile_outcome(_reference_compile, ch)
+    n_not_cp = sum(o.startswith("NotCP") for o in outcomes)
+    assert 600 < n_not_cp < 1800

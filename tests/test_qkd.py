@@ -65,6 +65,13 @@ def test_optimal_attack_consistency(rng):
             assert abs(r.p_c - (0.5 + 0.5 * np.sqrt(1 - r.overlap**2 / r.fidelity))) < 1e-12
 
 
+def test_optimal_attack_pc_is_success_probability():
+    for d in np.linspace(0, 0.5, 101):
+        for proto in (FOUR, SIX):
+            r = qg.optimal_attack(proto, d)
+            assert r.p_c == qg.success_probability(proto, r.eta)
+
+
 def test_optimal_attack_beyond_one_third():
     # for eta_min < 1/3 the face eta_y = 2 eta_min - 1 overshoots overlap 0,
     # and (eta_min, -eta_min, eta_min) in D reaches it
