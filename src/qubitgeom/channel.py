@@ -24,8 +24,6 @@ from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
                      UnphysicalBloch)
 from .linalg import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, _freeze
 
-UNITAL_TOL = 1e-12
-
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
 
@@ -38,7 +36,7 @@ def bloch_to_density(s: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(s)
     if not np.isfinite(norm):
         raise NonFiniteInput(f"Bloch vector must be finite, got {s}")
-    if norm > 1.0 + 1e-10:
+    if norm > 1.0 + linalg.ORTHO_TOL:
         raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
     rho = 0.5 * (np.eye(2, dtype=complex) + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
     return rho
@@ -75,12 +73,12 @@ class AffineChannel:
 
     @property
     def is_unital(self) -> bool:
-        return bool(np.linalg.norm(self.b) <= UNITAL_TOL)
+        return bool(np.linalg.norm(self.b) <= linalg.ROUND_TOL)
 
     @property
     def is_diagonal(self) -> bool:
         off = self.A - np.diag(np.diag(self.A))
-        return self.is_unital and np.max(np.abs(off)) <= 1e-12
+        return self.is_unital and np.max(np.abs(off)) <= linalg.ROUND_TOL
 
     @property
     def eta(self) -> np.ndarray:
@@ -120,24 +118,24 @@ def choi(ch: AffineChannel) -> np.ndarray:
     return (Tt.reshape(16) @ _PAULI_TENSOR).reshape(4, 4)
 
 
-def is_cp(ch: AffineChannel, tol: float = 1e-9) -> tuple[bool, float]:
+def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum.
 
-    Returns (flag, min_eigenvalue) where flag is True iff 4 * min_eigenvalue
-    >= -tol. For a diagonal map 4 * min_eigenvalue = 1 - max_k n_k . eta, so
-    tol is the face slack that in_D allows, in the same eta units.
+    Returns (flag, min_eigenvalue) where flag is True iff -4 * min_eigenvalue
+    <= tol. For a diagonal map -4 * min_eigenvalue = max_k n_k . eta - 1 is
+    the face slack of D, and tol defaults to FACE_TOL (1e-9), as in in_D.
     """
     w, _ = np.linalg.eigh(choi(ch))
     min_eig = float(w[0])
-    return 4.0 * min_eig >= -tol, min_eig
+    return -4.0 * min_eig <= tol, min_eig
 
 
-def is_positive_unital(ch: AffineChannel, tol: float = 1e-9) -> bool:
+def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
     """Positivity test for a unital channel: A must contract the ball."""
     if not ch.is_unital:
         raise NotUnital("positivity test implemented for unital channels only")
     _, sigma, _ = linalg.svd3(ch.A)
-    return bool(sigma[0] <= 1.0 + tol)
+    return bool(sigma[0] - 1.0 <= tol)
 
 
 @dataclass(frozen=True)

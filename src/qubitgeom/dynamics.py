@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import NonFiniteInput, NotCP, QubitGeomError
-from .linalg import _freeze
+from .linalg import ROUND_TOL, _freeze
 
 _ANCILLA_DIM = 4
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
@@ -45,14 +45,14 @@ class CouplingSpec:
 
     def __post_init__(self):
         a = _freeze(self, "alpha", (3,))
-        if not abs(np.sum(a * a) - 1.0) <= 1e-12:  # NaN fails it too
+        if not abs(np.sum(a * a) - 1.0) <= ROUND_TOL:  # NaN fails it too
             raise QubitGeomError(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
 
     @classmethod
     def from_alpha2(cls, alpha2) -> "CouplingSpec":
         """Build from the squared couplings (nonnegative, summing to 1)."""
         a2 = np.asarray(alpha2, dtype=float)
-        if np.any(a2 < -1e-12):
+        if np.any(a2 < -ROUND_TOL):
             raise QubitGeomError("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
 
@@ -81,13 +81,13 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
     degenerate and yields t = 0 with the conventional coupling (1, 0, 0).
     """
     target = np.asarray(target, dtype=float)
-    if not geometry.in_D(target, tol=1e-9):
+    mix = geometry.pauli_weights(target)
+    if mix.signed:
         raise NotCP(f"target {target} is not a CP diagonal channel")
-    p = geometry.pauli_weights(target).p
-    s2 = 1.0 - p[0]
+    s2 = 1.0 - mix.p[0]
     if s2 <= 1e-15:
         return CouplingSpec(np.array([1.0, 0.0, 0.0])), 0.0
-    alpha2 = np.clip(p[1:], 0.0, None)
+    alpha2 = np.clip(mix.p[1:], 0.0, None)
     t = float(np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0))))
     return CouplingSpec.from_alpha2(alpha2 / np.sum(alpha2)), t
 
@@ -102,9 +102,7 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     exp(-iHt) and trace out the ancilla."""
     t = float(_times(t))
     rho0 = linalg.require_hermitian(rho0)
-    anc = np.zeros((_ANCILLA_DIM, _ANCILLA_DIM), dtype=complex)
-    anc[0, 0] = 1.0
-    full = np.kron(rho0, anc)
+    full = np.kron(rho0, np.outer(_E[0], _E[0]))
     U = linalg.unitary_exp(total_hamiltonian(spec), t)
     evolved = U @ full @ U.conj().T
     return linalg.partial_trace_ancilla(evolved, _ANCILLA_DIM)

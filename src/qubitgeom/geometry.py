@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BadDimension, EmptyIntersection, NonFiniteInput, OutsideCube,
                      WeightsNotNormalized)
-from .linalg import _freeze
+from .linalg import FACE_TOL, ROUND_TOL, _freeze
 
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
@@ -65,10 +65,10 @@ def _eta(eta) -> np.ndarray:
     return eta
 
 
-def in_D(eta, tol: float = 1e-9) -> bool:
-    """Tetrahedron membership: true iff eta is a CP diagonal unital map."""
-    eta = _eta(eta)
-    return bool(np.all(FACE_NORMALS @ eta <= 1.0 + tol))
+def in_D(eta, tol: float = FACE_TOL) -> bool:
+    """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
+    is iff every face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
+    return bool(np.all(FACE_NORMALS @ _eta(eta) - 1.0 <= tol))
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class PauliMixture:
 
     @property
     def signed(self) -> bool:
-        return bool(np.min(self.p) < -1e-12)
+        """True iff some face slack -4 p_k exceeds FACE_TOL (1e-9), as in in_D."""
+        return bool(np.max(-4.0 * self.p) > FACE_TOL)
 
 
 def pauli_weights(eta) -> PauliMixture:
@@ -103,7 +104,7 @@ def mixture_to_eta(p) -> np.ndarray:
     p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
     if not np.isfinite(p).all():
         raise NonFiniteInput(f"weights must be finite, got {p}")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if abs(p.sum() - 1.0) > ROUND_TOL:
         raise WeightsNotNormalized(f"weights sum to {p.sum()}, expected 1")
     return VERTICES.T @ p
 
@@ -136,7 +137,7 @@ def _steps(free: tuple[bool, bool, bool]):
 
 
 def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool],
-                      fixed_vals: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+                      fixed_vals: np.ndarray) -> np.ndarray:
     """Nearest point of D intersected with {eta[~free] = fixed_vals} to y.
 
     Takes the KKT step x_k = y - W_k (G y - r) for every active set k at once;
@@ -147,8 +148,8 @@ def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool],
     r = np.concatenate((fixed_vals, np.ones(4)))
     X = y - (W @ (G @ y - r)).reshape(-1, 3)
     resid = X @ G.T - r
-    # |resid| <= tol on the set's own rows, resid <= tol on the others
-    ok = (np.maximum(resid, -resid * rows) <= tol).all(axis=1)
+    # |resid| <= FACE_TOL on the set's own rows, resid <= FACE_TOL on the others
+    ok = (np.maximum(resid, -resid * rows) <= FACE_TOL).all(axis=1)
     d2 = np.where(ok, ((X - y) ** 2).sum(axis=1), np.inf).tolist()
     best, best_d2 = None, np.inf
     for k, d in enumerate(d2):
@@ -209,19 +210,25 @@ def sw_decompose(eta) -> SWDecomposition:
     Inside D the split is trivial (p = 1). Outside, eta lies in exactly one
     of the four pyramids between a face of D and the cube corner behind it;
     the line from that corner through eta meets the opposite face of D at
-    cp1, and the corner itself is a transposed tetrahedron vertex cp2.
+    cp1, and the corner itself is a transposed tetrahedron vertex cp2. Face
+    and cube slacks up to FACE_TOL (1e-9) are accepted: p = 1 exactly when
+    in_D(eta), and an eta up to FACE_TOL beyond the cube is split as eta /
+    max|eta_k|. Raises OutsideCube past that.
     """
     eta = _eta(eta)
-    if np.max(np.abs(eta)) > 1.0 + 1e-12:
+    radius = np.max(np.abs(eta))
+    if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
-    slack = FACE_NORMALS @ eta
-    if np.all(slack <= 1.0 + 1e-12):
-        cp2 = np.array([1.0, 1.0, 1.0])
-        return SWDecomposition(1.0, eta.copy(), compose(cp2, TRANSPOSE_ETA), cp2)
+    slack = FACE_NORMALS @ eta - 1.0
+    if np.all(slack <= FACE_TOL):
+        return SWDecomposition(1.0, eta.copy(), TRANSPOSE_ETA.copy(), VERTICES[0].copy())
+    if radius > 1.0:  # slack[k] becomes (slack[k] + 1 - radius) / radius > 0
+        eta = eta / radius
+        slack = FACE_NORMALS @ eta - 1.0
     k = int(np.argmax(slack))  # the single violated face
     corner = NONCP_CORNERS[k]
     # eta = lam * corner + (1 - lam) * cp1 with cp1 on the face n_k . x = 1.
-    lam = (slack[k] - 1.0) / 2.0
+    lam = slack[k] / 2.0
     if lam > 1.0 - 1e-14:
         cp1 = corner / 3.0  # centroid of the opposite face
     else:

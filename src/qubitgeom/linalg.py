@@ -8,9 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimension, NonHermitianInput
+from .errors import BadDimension, NonFiniteInput, NonHermitianInput
 
-HERMITIAN_TOL = 1e-12
+# Tolerances. A face slack, n . eta - 1 for a face normal n of the CP
+# tetrahedron D or |eta_k| - 1 for the cube [-1, 1]^3, is -4 times a Pauli
+# weight or Choi eigenvalue of the diagonal map and exact near a face; every
+# verdict on D or the cube accepts slack up to FACE_TOL (eta units), so all agree.
+FACE_TOL = 1e-9
+ROUND_TOL = 1e-12  # unit sums, unitality, diagonality, Hermiticity
+ORTHO_TOL = 1e-10  # orthogonality of rotations, the Bloch ball
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -30,10 +36,12 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def require_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise NonFiniteInput("matrix must be finite")
     dev = np.max(np.abs(M - M.conj().T))
     if dev > tol:
         raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
@@ -46,11 +54,10 @@ def hermitian_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with real eigenvalues sorted
     ascending and orthonormal eigenvectors as columns.
 
-    Raises NonHermitianInput if M is not Hermitian within 1e-12.
+    Raises NonFiniteInput if M holds NaN or infinity, NonHermitianInput if
+    it is not Hermitian within ROUND_TOL.
     """
-    M = require_hermitian(M)
-    w, V = np.linalg.eigh(M)
-    return w, V
+    return np.linalg.eigh(require_hermitian(M))
 
 
 def svd3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry
 from .errors import NotCP, NotUnital, QubitGeomError
-from .linalg import _freeze
+from .linalg import ORTHO_TOL, ROUND_TOL, _freeze
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         amps = _freeze(self, "amplitudes", (4,))
-        if not abs(np.sum(amps**2) - 1.0) <= 1e-12:  # NaN fails it too
+        if not abs(np.sum(amps**2) - 1.0) <= ROUND_TOL:  # NaN fails it too
             raise QubitGeomError("amplitudes must have unit square-sum")
         for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
-            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= 1e-10 and np.linalg.det(M) >= 0):
+            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and np.linalg.det(M) >= 0):
                 raise QubitGeomError("u1, u2 must be proper rotations")
 
     @property
@@ -76,10 +76,10 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     else:
         form = qchannel.canonical_form(ch)
         delta, u1, u2 = form.delta, form.Q.T @ form.R, form.Q
-    weights = geometry.pauli_weights(delta).p
-    if not geometry.in_D(delta):
-        raise NotCP(f"channel is not CP (Choi min eigenvalue {weights.min():.3e})")
-    weights = np.clip(weights, 0.0, None)
+    mix = geometry.pauli_weights(delta)
+    if mix.signed:
+        raise NotCP(f"channel is not CP (Choi min eigenvalue {mix.p.min():.3e})")
+    weights = np.clip(mix.p, 0.0, None)
     return NetworkSpec(u1, u2, np.sqrt(weights / np.sum(weights)))
 
 

@@ -31,9 +31,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation
-from .linalg import PAULIS
-
-_SYMMETRY_TOL = 1e-9
+from .linalg import FACE_TOL, PAULIS
 
 
 class Protocol(enum.Enum):
@@ -63,24 +61,17 @@ class AttackReport:
         }
 
 
-def _symmetric_component(protocol: Protocol, eta: np.ndarray) -> float:
+def overlap(protocol: Protocol, eta) -> float:
+    """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
+    Raises SymmetryViolation unless eta has the protocol's symmetry."""
     eta = np.asarray(eta, dtype=float).reshape(3)
     if protocol is Protocol.FOUR_STATE:
-        if abs(eta[0] - eta[2]) > _SYMMETRY_TOL:
+        if abs(eta[0] - eta[2]) > FACE_TOL:
             raise SymmetryViolation("four-state attacks need eta_x = eta_z")
-        return float(eta[0])
-    if abs(eta[0] - eta[1]) > _SYMMETRY_TOL or abs(eta[1] - eta[2]) > _SYMMETRY_TOL:
+        return (float(eta[0]) + float(eta[1])) / 2.0
+    if abs(eta[0] - eta[1]) > FACE_TOL or abs(eta[1] - eta[2]) > FACE_TOL:
         raise SymmetryViolation("six-state attacks need eta_x = eta_y = eta_z")
     return float(eta[0])
-
-
-def overlap(protocol: Protocol, eta) -> float:
-    """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state."""
-    eta = np.asarray(eta, dtype=float).reshape(3)
-    sym = _symmetric_component(protocol, eta)
-    if protocol is Protocol.FOUR_STATE:
-        return (sym + float(eta[1])) / 2.0
-    return sym
 
 
 def success_probability(protocol: Protocol, eta) -> float:
@@ -88,9 +79,8 @@ def success_probability(protocol: Protocol, eta) -> float:
     eta = np.asarray(eta, dtype=float).reshape(3)
     if not geometry.in_D(eta):
         raise NotCP(f"attack channel {eta} is not CP")
-    sym = _symmetric_component(protocol, eta)
-    F = (1.0 + sym) / 2.0
     ov = overlap(protocol, eta)
+    F = (1.0 + float(eta[0])) / 2.0
     return 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
 
 
@@ -129,14 +119,14 @@ def _dilation_overlaps(eta, basis: np.ndarray) -> tuple[float, float, float]:
     """Dilation overlaps with qubit basis vectors given by the columns of
     `basis` (used to verify basis independence for symmetric attacks)."""
     eta = np.asarray(eta, dtype=float).reshape(3)
-    if not geometry.in_D(eta):
+    mix = geometry.pauli_weights(eta)
+    if mix.signed:
         raise NotCP(f"eta {eta} is not CP")
-    p = np.clip(geometry.pauli_weights(eta).p, 0.0, None)
+    p = np.clip(mix.p, 0.0, None)
     kraus = [np.sqrt(pk) * sigma for pk, sigma in zip(p, PAULIS)]
-    ket = [basis[:, 0], basis[:, 1]]
 
     def E(i, j):
-        return np.array([ket[j].conj() @ (K @ ket[i]) for K in kraus])
+        return np.array([basis[:, j].conj() @ (K @ basis[:, i]) for K in kraus])
 
     E00, E01, E11 = E(0, 0), E(0, 1), E(1, 1)
     F = float(np.real(E00.conj() @ E00))
@@ -169,7 +159,7 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
     s, y = sym_grid[:, None], y_grid[None, :]
     # face products of (s, y, s), summed left to right as a matmul sums them
-    feasible = np.all([n[0] * s + n[1] * y + n[2] * s <= 1.0 + 1e-9
+    feasible = np.all([n[0] * s + n[1] * y + n[2] * s - 1.0 <= FACE_TOL
                        for n in geometry.FACE_NORMALS], axis=0)
     if not feasible.any():
         raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")

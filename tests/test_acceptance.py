@@ -13,7 +13,7 @@ import qubitgeom as qg
 from qubitgeom import geometry, network
 
 from conftest import random_eta_in_D, random_rotation, trace_distance
-from test_geometry import grid_project_oracle
+from test_geometry import exact_project_oracle, grid_project_oracle
 
 RNG_SEED = 777
 
@@ -52,17 +52,20 @@ def test_c2_best_cp_approximations():
 
 def test_c3_projection_vs_grid_oracle():
     rng = np.random.default_rng(RNG_SEED)
-    worst = 0.0
+    worst = worst_grid = 0.0
     checked = 0
     while checked < 100:
         eta = rng.uniform(-1, 1, 3)
         if qg.in_D(eta):
             continue
-        dist = np.linalg.norm(qg.project_to_D(eta) - grid_project_oracle(eta))
-        worst = max(worst, dist)
+        p = qg.project_to_D(eta)
+        worst = max(worst, np.linalg.norm(p - exact_project_oracle(eta)))
+        worst_grid = max(worst_grid, np.linalg.norm(p - grid_project_oracle(eta)))
         checked += 1
-    assert worst < 2e-3
-    _report("3 projection oracle", f"100 exterior points, worst {worst:.2e}")
+    assert worst < 1e-12
+    assert worst_grid < 2e-3
+    _report("3 projection oracle",
+            f"100 exterior points, worst {worst:.2e} (exact), {worst_grid:.2e} (grid)")
 
 
 def test_c4_canonical_form_reconstruction():

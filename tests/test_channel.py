@@ -158,6 +158,10 @@ def test_cp_threshold_agrees_with_tetrahedron_in_band(rng):
             except NotCP:
                 compiled = False
             assert compiled == flag
+        assert qg.pauli_weights(eta).signed and qg.sw_decompose(eta).p < 1.0
+        assert not np.array_equal(qg.project_to_D(eta), eta)
+        with pytest.raises(NotCP):
+            qg.design_coupling(eta)
 
 
 def test_is_cp_named_maps():

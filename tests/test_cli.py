@@ -177,6 +177,34 @@ def test_qkd_verb_with_grid():
     assert np.max(np.abs(np.array(out["grid_eta"]) - 0.5)) < 1e-3 + 1e-12
 
 
+def _positional(v):
+    # argparse takes "-2e-10" for an option, so no exponent; exact round trip
+    return np.format_float_positional(v, unique=True)
+
+
+def _verdicts(capsys, eta):
+    """(check cp, not weights signed, sw p == 1, compile ok, design ok,
+    project returns eta) from the CLI verbs, run in process."""
+    args = ["--eta", *map(_positional, eta)]
+    out = {}
+    for verb in ("check", "weights", "sw", "compile", "design", "project"):
+        code = cli.main([verb, *args])
+        text = capsys.readouterr()
+        out[verb] = json.loads(text.out) if code == 0 else json.loads(text.err)["error"]
+    return (out["check"]["cp"], not out["weights"]["signed"], out["sw"]["p"] == 1.0,
+            out["compile"] != "NotCP", out["design"] != "NotCP",
+            np.array_equal(out["project"]["eta"], eta))
+
+
+def test_verbs_agree_in_the_tolerance_band(capsys):
+    from test_channel import _band_points
+
+    eta = -(1 / 3 + 1e-10) * np.ones(3)  # face slack 3e-10: CP by every verb
+    assert _verdicts(capsys, eta) == (True,) * 6
+    for eta in _band_points():  # face slack 2e-9 to 3e-9: CP by none
+        assert _verdicts(capsys, eta) == (False,) * 6
+
+
 def test_validation_error_exit_code():
     proc = run_cli("qkd", "--protocol", "four-state", "--dmax", "0.7", check=False)
     assert proc.returncode == 2

@@ -7,11 +7,37 @@ import qubitgeom as qg
 from qubitgeom import geometry
 from qubitgeom.errors import (BadDimension, EmptyIntersection, NonFiniteInput,
                               OutsideCube, WeightsNotNormalized)
+from qubitgeom.linalg import FACE_TOL
 
 from conftest import random_eta_in_D
 
 
 # ---------------------------------------------------------------- oracles
+
+def segment_nearest(y, a, b):
+    """Nearest point of the segment [a, b] to y."""
+    t = np.clip((y - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+    return a + t * (b - a)
+
+
+def exact_project_oracle(eta):
+    """Exact projection of an exterior point onto D, built from the vertices
+    alone and independent of the KKT steps: the nearest of the 4 vertices,
+    the nearest points of the 6 edges, and the plane projections onto the 4
+    faces that fall inside their triangle."""
+    y = np.asarray(eta, dtype=float)
+    V = geometry.VERTICES
+    cands = list(V) + [segment_nearest(y, V[i], V[j]) for i, j in combinations(range(4), 2)]
+    for k in range(4):
+        a, b, c = np.delete(V, k, axis=0)
+        # y - a = u (b - a) + v (c - a) + w n, with n normal to the face
+        n = np.cross(b - a, c - a)
+        u, v, _ = np.linalg.solve(np.column_stack([b - a, c - a, n]), y - a)
+        if u >= 0.0 and v >= 0.0 and u + v <= 1.0:
+            cands.append(a + u * (b - a) + v * (c - a))
+    d = [np.sum((x - y) ** 2) for x in cands]
+    return cands[int(np.argmin(d))]
+
 
 def grid_project_oracle(eta, step=2.5e-4):
     """Brute-force projection: barycentric grids over the four faces,
@@ -184,10 +210,20 @@ def test_project_constrained_fixed_point(rng):
     assert np.max(np.abs(p - eta)) < 1e-9
 
 
+def test_exact_oracle_matches_projection(rng):
+    for y in list(rng.uniform(-1.5, 1.5, (500, 3))) + _exterior_points_near_boundary(rng):
+        if not qg.in_D(y):
+            assert np.linalg.norm(qg.project_to_D(y) - exact_project_oracle(y)) < 1e-12
+
+
 def test_project_constrained_edge_slice_vs_grid():
     # slice x = -1 meets D in the edge between the y- and z-rotations
-    p = qg.project_constrained([-1, -1, -1], [False, True, True], [-1.0])
+    y = np.array([-1.0, -1.0, -1.0])
+    p = qg.project_constrained(y, [False, True, True], [-1.0])
     assert np.max(np.abs(p - [-1.0, 0.0, 0.0])) < 1e-9
+    # exact oracle: the nearest point of that edge
+    ry, rz = geometry.VERTICES[2], geometry.VERTICES[3]
+    assert np.linalg.norm(p - segment_nearest(y, ry, rz)) < 1e-12
     # dense grid oracle over the slice, coarse pass then 1e-4 refinement
     best, best_d = None, np.inf
     for h, (y0, y1) in ((1e-2, (-1.0, 1.0)), (1e-4, (-0.02, 0.02))):
@@ -249,6 +285,26 @@ def test_sw_decompose_interior():
     dec = qg.sw_decompose([0, 0, 0])
     assert dec.p == 1.0
     assert np.allclose(dec.cp1, [0, 0, 0])
+
+
+def test_sw_decompose_just_beyond_the_cube():
+    # corners scaled past the cube, and a point past the face x = 1: within
+    # FACE_TOL of the cube the split is valid, beyond it OutsideCube is raised;
+    # 1 + 1e-9 rounds to 1.00000008e-9 past the cube, so those corners raise
+    cases = [(c * (1 + d), d) for d in (1e-13, 5e-10, 1e-9) for c in geometry.NONCP_CORNERS]
+    cases.append((np.array([1 + 5e-10, 0.3, 0.2]), 5e-10))
+    for eta, excess in cases:
+        positive = qg.is_positive_unital(qg.AffineChannel.from_eta(eta))
+        assert positive == (np.max(np.abs(eta)) - 1.0 <= FACE_TOL)
+        if not positive:
+            with pytest.raises(OutsideCube):
+                qg.sw_decompose(eta)
+            continue
+        dec = qg.sw_decompose(eta)
+        assert 0.0 <= dec.p < 1.0
+        assert qg.in_D(dec.cp1) and qg.in_D(dec.cp2)
+        assert np.max(np.abs(dec.reconstruct() - eta)) <= 2 * excess
+    assert sum(qg.is_positive_unital(qg.AffineChannel.from_eta(eta)) for eta, _ in cases) == 9
 
 
 def test_sw_decompose_random_cube(rng):

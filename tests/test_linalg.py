@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import qubitgeom as qg
 from qubitgeom import linalg
-from qubitgeom.errors import BadDimension, NonHermitianInput
+from qubitgeom.errors import BadDimension, NonFiniteInput, NonHermitianInput
 
 from conftest import random_hermitian
 
@@ -60,6 +61,18 @@ def test_eig_postconditions_random(rng):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_finite_matrices_rejected():
+    # NaN - NaN is NaN, and a NaN deviation passes no "> tol" test
+    spec = qg.CouplingSpec.from_alpha2([1 / 3, 1 / 3, 1 / 3])
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
+        with pytest.raises(NonFiniteInput):
+            linalg.hermitian_eig(bad)
+        with pytest.raises(NonFiniteInput):
+            linalg.unitary_exp(bad, 1.0)
+        with pytest.raises(NonFiniteInput):
+            qg.simulate_reduced(spec, 1.0, bad)
 
 
 def test_svd3_identity_and_zero():
