@@ -227,11 +227,9 @@ def sw_decompose(eta) -> SWDecomposition:
         slack = FACE_NORMALS @ eta - 1.0
     k = int(np.argmax(slack))  # the single violated face
     corner = NONCP_CORNERS[k]
-    # eta = lam * corner + (1 - lam) * cp1 with cp1 on the face n_k . x = 1.
-    lam = slack[k] / 2.0
-    if lam > 1.0 - 1e-14:
-        cp1 = corner / 3.0  # centroid of the opposite face
-    else:
-        cp1 = (eta - lam * corner) / (1.0 - lam)
+    # eta = (1 - p) corner + p cp1, n_k . cp1 = 1, n_k . corner = 3; d is exact near the corner
+    d = eta - corner
+    p = -(FACE_NORMALS[k] @ d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
+    cp1 = corner + d / p if p > 0.0 else corner / 3.0  # eta == corner: centroid of the face
     cp2 = compose(corner, TRANSPOSE_ETA)  # transpose is an involution
-    return SWDecomposition(float(1.0 - lam), cp1, corner, cp2)
+    return SWDecomposition(float(p), cp1, corner, cp2)

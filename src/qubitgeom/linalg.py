@@ -74,7 +74,9 @@ def svd3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def unitary_exp(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via eigendecomposition (hbar = 1)."""
+    """exp(-i H t) for Hermitian H and finite t, via eigendecomposition (hbar = 1)."""
+    if not np.isfinite(t):
+        raise NonFiniteInput(f"time must be finite, got {t}")
     w, V = hermitian_eig(H)
     phases = np.exp(-1j * w * t)
     return (V * phases) @ V.conj().T

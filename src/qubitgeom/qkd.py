@@ -18,8 +18,9 @@ six-state protocol overlap = eta and no freedom remains. Disturbances up to
 1/2 (nonnegative eta_min) are supported.
 
 probe_overlaps_dilation recomputes D, F and the overlap from an explicit
-four-dimensional probe dilation with Kraus pieces sqrt(p_k) sigma_k, and
-serves as the independent oracle for the closed forms.
+four-dimensional probe dilation with Kraus pieces sqrt(p_k) sigma_k; it and
+the grid search brute_force_optimum, which binary-searches each grid row,
+are the independent oracles for the closed forms.
 """
 
 from __future__ import annotations
@@ -140,29 +141,41 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
     """Grid-search oracle for optimal_attack.
 
     Scans the protocol's free eta components over the CP region with
-    symmetric component >= eta_min, minimising |overlap|; ties are broken
-    by lexicographically smallest eta. Raises EmptyIntersection when no
-    grid point is an allowed attack.
+    symmetric component >= eta_min, minimising |overlap|; ties go to the
+    lexicographically smallest eta, the first minimum in row-major order of
+    the ascending grids. Raises EmptyIntersection when no grid point is an
+    allowed attack. Rounding is monotone, so a grid row s is allowed on one
+    interval of y, and its least |s + y| / 2 lies at one of the two columns
+    around -s: O(n_sym log n_y) time and O(n_sym + n_y) memory, no grid built.
     """
     if not 0.0 < resolution <= 0.1:
         raise DisturbanceOutOfRange(f"resolution {resolution} outside (0, 0.1]")
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
-    sym_grid = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
-    # Both grids ascend, so the first minimum in row-major order is the
-    # lexicographically smallest of the ties.
+    s = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
     if protocol is Protocol.SIX_STATE:
         # Diagonal segment of D: every grid point with s in [eta_min, 1] is CP.
-        s = sym_grid[np.argmin(np.abs(sym_grid))]
+        s = s[np.argmin(np.abs(s))]
         return np.array([s, s, s])
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
-    s, y = sym_grid[:, None], y_grid[None, :]
-    # face products of (s, y, s), summed left to right as a matmul sums them
-    feasible = np.all([n[0] * s + n[1] * y + n[2] * s - 1.0 <= FACE_TOL
-                       for n in geometry.FACE_NORMALS], axis=0)
-    if not feasible.any():
+    # A face test passes on a prefix (n[1] > 0) or a suffix of y_grid; its split
+    # k[face, row] is guessed on the exact plane, then stepped until the test agrees.
+    n = geometry.FACE_NORMALS[:, :, None]  # face, component, row
+    prefix = n[:, 1, 0] > 0
+    k = np.searchsorted(y_grid, (1.0 + FACE_TOL - (n[:, 0] + n[:, 2]) * s) / n[:, 1])
+    move = True
+    while np.any(move):
+        y = y_grid[np.clip([k - 1, k], 0, len(y_grid) - 1)]
+        # face products of (s, y, s), summed left to right as a matmul sums them
+        before, at = (n[:, 0] * s + n[:, 1] * y + n[:, 2] * s - 1.0 <= FACE_TOL) == prefix[:, None]
+        move = (at & (k < len(y_grid))).astype(int) - (~before & (k > 0))
+        k += move
+    lo, hi = k[~prefix].max(axis=0), k[prefix].min(axis=0)  # allowed: y_grid[lo:hi]
+    if not (lo < hi).any():
         raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")
-    vals = np.where(feasible, np.abs((s + y) / 2.0), np.inf)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    return np.array([sym_grid[i], y_grid[j], sym_grid[i]])
+    z = np.searchsorted(y_grid, -s)  # fl(s + y) >= 0 exactly when y >= -s
+    cols = np.clip([z - 1, z], lo, hi - 1)  # smaller y first; >= -1, masked where lo >= hi
+    vals = np.where(lo < hi, np.abs((s + y_grid[cols]) / 2.0), np.inf).T
+    i, c = np.unravel_index(np.argmin(vals), vals.shape)
+    return np.array([s[i], y_grid[cols[c, i]], s[i]])

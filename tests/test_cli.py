@@ -178,14 +178,14 @@ def test_qkd_verb_with_grid():
 
 
 def _positional(v):
-    # argparse takes "-2e-10" for an option, so no exponent; exact round trip
-    return np.format_float_positional(v, unique=True)
+    # shortest exact round trip; "-6.666666666666667e-10" must parse as a number
+    return repr(float(v))
 
 
-def _verdicts(capsys, eta):
+def _verdicts(capsys, eta, fmt=_positional):
     """(check cp, not weights signed, sw p == 1, compile ok, design ok,
     project returns eta) from the CLI verbs, run in process."""
-    args = ["--eta", *map(_positional, eta)]
+    args = ["--eta", *map(fmt, eta)]
     out = {}
     for verb in ("check", "weights", "sw", "compile", "design", "project"):
         code = cli.main([verb, *args])
@@ -203,6 +203,18 @@ def test_verbs_agree_in_the_tolerance_band(capsys):
     assert _verdicts(capsys, eta) == (True,) * 6
     for eta in _band_points():  # face slack 2e-9 to 3e-9: CP by none
         assert _verdicts(capsys, eta) == (False,) * 6
+    eta = _band_points()[1]  # the same values without exponent notation
+    assert _verdicts(capsys, eta, lambda v: np.format_float_positional(v, unique=True)) \
+        == (False,) * 6
+
+
+def test_negative_numbers_in_exponent_notation(capsys):
+    assert cli.main(["check", "--eta", "0.5", "-2e-10", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["cp"] is True
+    assert cli.main(["run", "--eta", "1", "1", "1", "--state", "-1E+0", "0", "-0.0e0"]) == 0
+    assert json.loads(capsys.readouterr().out)["bloch"] == [-1, 0, 0]
+    assert cli.main(["dynamics", "--alpha2", "-1e-3", ".5", ".5", "--steps", "1"]) == 2
+    assert "must be nonnegative" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_validation_error_exit_code():

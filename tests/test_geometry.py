@@ -281,6 +281,21 @@ def test_sw_decompose_near_corner():
     assert np.max(np.abs(dec.reconstruct() - [-0.9, -0.9, -0.9])) < 1e-12
 
 
+def test_sw_decompose_close_to_every_corner():
+    # eta - corner is exact here, where (eta - lam corner) / (1 - lam) lost
+    # cp1 to rounding: face slack up to 2.2e-3 at a = 1e-13
+    for corner in geometry.NONCP_CORNERS:
+        for a in (1e-9, 1e-12, 1e-13):
+            eta = corner * np.array([1.0, 1.0 - a, 1.0 - a])
+            dec = qg.sw_decompose(eta)
+            assert np.max(geometry.FACE_NORMALS @ dec.cp1 - 1.0) <= FACE_TOL
+            assert 0.0 <= dec.p <= 1.0
+            assert np.max(np.abs(dec.reconstruct() - eta)) <= 1e-15
+        dec = qg.sw_decompose(corner)
+        assert str(dec.p) == "0.0" and np.array_equal(dec.cp1, corner / 3.0)
+        assert np.array_equal(dec.reconstruct(), corner)
+
+
 def test_sw_decompose_interior():
     dec = qg.sw_decompose([0, 0, 0])
     assert dec.p == 1.0

@@ -73,6 +73,9 @@ def test_non_finite_matrices_rejected():
             linalg.unitary_exp(bad, 1.0)
         with pytest.raises(NonFiniteInput):
             qg.simulate_reduced(spec, 1.0, bad)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteInput):
+            linalg.unitary_exp(np.eye(2), t)
 
 
 def test_svd3_identity_and_zero():

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qubitgeom as qg
 from qubitgeom import geometry, qkd
 from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
                              SymmetryViolation)
+from qubitgeom.linalg import FACE_TOL
 
 FOUR = qg.Protocol.FOUR_STATE
 SIX = qg.Protocol.SIX_STATE
@@ -186,6 +190,71 @@ def test_brute_force_bit_identical_to_reference(resolution):
             assert got.tobytes() == expected.tobytes(), (proto, d)
             compared += 1
     assert compared >= 100
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(d=st.floats(0.0, 0.5), log_res=st.floats(np.log10(5e-4), -1.0),
+       protocol=st.sampled_from([FOUR, SIX]))
+@example(d=0.0, log_res=np.log10(0.03), protocol=FOUR)  # empty grid
+@example(d=1 / 3, log_res=np.log10(1e-3), protocol=FOUR)
+@example(d=0.5, log_res=np.log10(1e-3), protocol=FOUR)
+@example(d=0.5, log_res=-1.0, protocol=SIX)
+def test_brute_force_matches_reference_anywhere(d, log_res, protocol):
+    resolution = 10.0 ** log_res
+    try:
+        expected = _reference_brute_force(protocol, d, resolution)
+    except IndexError:  # empty grid: the reference has no answer
+        with pytest.raises(EmptyIntersection):
+            qg.brute_force_optimum(protocol, d, resolution)
+        return
+    assert qg.brute_force_optimum(protocol, d, resolution).tobytes() == expected.tobytes()
+
+
+def _dense_brute_force(d_max, resolution):
+    """The four-state search that brute_force_optimum replaced: the same
+    float face test on every point of the dense grid."""
+    s = np.arange(1.0 - 2.0 * d_max, 1.0 + resolution / 2.0, resolution)[:, None]
+    y = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)[None, :]
+    feasible = np.all([n[0] * s + n[1] * y + n[2] * s - 1.0 <= FACE_TOL
+                       for n in geometry.FACE_NORMALS], axis=0)
+    vals = np.where(feasible, np.abs((s + y) / 2.0), np.inf)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    return np.array([s[i, 0], y[0, j], s[i, 0]])
+
+
+@pytest.mark.parametrize("resolution", [2.0 ** -7, 0.01])
+def test_brute_force_at_the_tolerance_edge(resolution):
+    # eta_min puts a grid point of the face eta_y = 2 eta_min - 1 at face slack
+    # FACE_TOL to within a few ulps, where only the rounded test decides and the
+    # exact face plane guesses wrong; _reference_brute_force's "<= 1 + 1e-9"
+    # rounds differently there, so the dense form of the same test is the oracle
+    for y_edge in np.arange(-1.0, 0.9, resolution)[1::9]:
+        d0 = (1.0 - (1.0 + y_edge + FACE_TOL) / 2.0) / 2.0
+        for d in d0 + np.arange(-3, 4) * np.spacing(d0):
+            got = qg.brute_force_optimum(FOUR, d, resolution)
+            assert got.tobytes() == _dense_brute_force(d, resolution).tobytes(), d
+
+
+def test_brute_force_tie_goes_to_the_smaller_eta_y():
+    # on a dyadic grid with eta_min < 1/3, -s lies midway between two y
+    # columns on every row, and |overlap| ties at r / 4 throughout
+    r = 2.0 ** -7
+    d = 90.5 * r / 2.0
+    expected = np.array([1.0 - 90.5 * r, -1.0 + 90.0 * r, 1.0 - 90.5 * r])
+    assert qg.brute_force_optimum(FOUR, d, r).tobytes() == expected.tobytes()
+    assert _dense_brute_force(d, r).tobytes() == expected.tobytes()
+    assert _reference_brute_force(FOUR, d, r).tobytes() == expected.tobytes()
+
+
+def test_brute_force_builds_no_grid():
+    # the dense 1,001 x 2,001 grid alone would take 16 MB per float array
+    tracemalloc.start()
+    try:
+        qg.brute_force_optimum(FOUR, 0.5, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_pc_monotone_and_protocol_ordering():
