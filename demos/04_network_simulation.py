@@ -3,7 +3,8 @@
 Any unital CP channel factors into rotation / diagonal Pauli mixture /
 rotation, so a network with two qubit rotations and an ancilla-controlled
 Pauli gate realises it. compile_channel produces the two rotations and the
-four ancilla amplitudes; run_exact executes on the density matrix and
+four branch weights; the ancilla amplitudes, their square roots, appear in
+the spec's JSON form. run_exact executes on the density matrix and
 run_sampled draws mixture branches with a seeded generator.
 """
 
@@ -22,7 +23,7 @@ A = q @ np.diag([0.7, 0.4, 0.2]) @ q.T
 ch = qg.AffineChannel(A, np.zeros(3))
 
 spec = qg.compile_channel(ch)
-print("amplitudes:", np.round(spec.amplitudes, 6))
+print("amplitudes:", np.round(spec.to_json()["amplitudes"], 6))
 print("branch weights:", np.round(spec.weights, 6))
 
 roundtrip = np.max(np.abs(qg.choi(induced_channel(spec)) - qg.choi(ch)))

@@ -218,15 +218,15 @@ def channel_to_json(ch: AffineChannel) -> dict:
     return {"A": ch.A.tolist(), "b": ch.b.tolist()}
 
 
-def channel_from_json(obj: dict) -> AffineChannel:
-    """Parse the shared JSON channel schema."""
-    if "eta" in obj:
-        eta = np.asarray(obj["eta"], dtype=float)
-        if eta.shape != (3,):
-            raise BadDimension("eta must have 3 components")
+def channel_from_json(obj) -> AffineChannel:
+    """Parse the shared JSON channel schema. Raises BadDimension for a value
+    that is not an object with 3 numbers under "eta", or numeric "A" and "b"."""
+    if isinstance(obj, dict) and "eta" in obj:
+        eta = obj["eta"]
+        if not (isinstance(eta, list) and len(eta) == 3
+                and all(isinstance(v, (int, float)) for v in eta)):
+            raise BadDimension(f"eta must be a list of 3 numbers, got {eta!r}")
         return AffineChannel.from_eta(eta)
-    if "A" in obj:
-        A = np.asarray(obj["A"], dtype=float)
-        b = np.asarray(obj.get("b", np.zeros(3)), dtype=float)
-        return AffineChannel(A, b)
-    raise BadDimension("channel JSON must contain 'eta' or 'A'")
+    if isinstance(obj, dict) and "A" in obj:
+        return AffineChannel(obj["A"], obj.get("b", np.zeros(3)))
+    raise BadDimension("channel JSON must be an object with 'eta' or 'A'")

@@ -29,7 +29,7 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
     __post_init__ of frozen value types. Raises BadDimension on a mismatch."""
     try:
         a = np.array(getattr(obj, name), dtype=float).reshape(shape)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadDimension(f"{type(obj).__name__}.{name} needs shape {shape}: {exc}") from None
     a.setflags(write=False)
     object.__setattr__(obj, name, a)

@@ -5,8 +5,9 @@ diagonal map delta, and another rotation; it is CP exactly when delta lies
 in the tetrahedron D, and then delta is a Pauli mixture whose weights are
 the Choi eigenvalues of the channel. The network realises the mixture with
 an ancilla register prepared in a superposition whose amplitude-squares are
-the mixture weights; only those weights matter for the induced channel, so
-amplitudes are kept real and nonnegative here.
+the mixture weights. Only those weights matter for the induced channel, so
+NetworkSpec stores the weights; the real, nonnegative amplitudes sqrt(weight)
+appear only in its JSON form.
 
 run_exact applies the three stages on the density matrix directly;
 run_sampled draws mixture branches with a seeded generator (numpy PCG64)
@@ -27,36 +28,33 @@ from .linalg import ORTHO_TOL, ROUND_TOL, _freeze
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Compiled network: pre-rotation u1, Pauli-mixture amplitudes,
-    post-rotation u2 (all acting on Bloch vectors)."""
+    """Compiled network: pre-rotation u1, Pauli-mixture weights (p_I, p_x,
+    p_y, p_z), post-rotation u2 (rotations act on Bloch vectors). The JSON
+    form carries the ancilla amplitudes sqrt(weights) in place of weights."""
 
     u1: np.ndarray
     u2: np.ndarray
-    amplitudes: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        amps = _freeze(self, "amplitudes", (4,))
-        if not abs(np.sum(amps**2) - 1.0) <= ROUND_TOL:  # NaN fails it too
-            raise QubitGeomError("amplitudes must have unit square-sum")
+        w = _freeze(self, "weights", (4,))
+        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= ROUND_TOL):  # NaN fails it too
+            raise QubitGeomError("weights must be nonnegative with unit sum")
         for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
             if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and np.linalg.det(M) >= 0):
                 raise QubitGeomError("u1, u2 must be proper rotations")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.amplitudes**2
 
     def to_json(self) -> dict:
         return {
             "u1": self.u1.tolist(),
             "u2": self.u2.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
+            "amplitudes": np.sqrt(self.weights).tolist(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "NetworkSpec":
         return cls(np.asarray(obj["u1"]), np.asarray(obj["u2"]),
-                   np.asarray(obj["amplitudes"]))
+                   np.asarray(obj["amplitudes"], dtype=float) ** 2)
 
 
 def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
@@ -80,14 +78,14 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     if mix.signed:
         raise NotCP(f"channel is not CP (Choi min eigenvalue {mix.p.min():.3e})")
     weights = np.clip(mix.p, 0.0, None)
-    return NetworkSpec(u1, u2, np.sqrt(weights / np.sum(weights)))
+    return NetworkSpec(u1, u2, weights / np.sum(weights))
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
     """Exact (density-matrix) execution of the network."""
     s = qchannel.density_to_bloch(np.asarray(rho0, dtype=complex))
     s = spec.u1 @ s
-    s = geometry.mixture_to_eta(geometry.PauliMixture(spec.weights)) * s
+    s = (geometry.VERTICES.T @ spec.weights) * s
     s = spec.u2 @ s
     return qchannel.bloch_to_density(s)
 
@@ -102,24 +100,18 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     if n < 1:
         raise QubitGeomError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    weights = spec.weights
-    counts = rng.multinomial(n, weights / np.sum(weights))
+    p_hat = rng.multinomial(n, spec.weights / np.sum(spec.weights)) / n  # branch frequencies
     s0 = spec.u1 @ qchannel.density_to_bloch(np.asarray(rho0, dtype=complex))
-    s_avg = np.zeros(3)
-    for k, c in enumerate(counts):
-        if c:
-            s_avg += (c / n) * (geometry.VERTICES[k] * s0)
-    s_avg = spec.u2 @ s_avg
+    s_avg = spec.u2 @ ((p_hat @ geometry.VERTICES) * s0)
     # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
     norm = np.linalg.norm(s_avg)
     if norm > 1.0:
         s_avg = s_avg / norm
-    p_hat = counts / n
     stderr = float(np.sqrt(max(0.0, 1.0 - np.sum(p_hat**2)) / n))
     return qchannel.bloch_to_density(s_avg), stderr
 
 
 def induced_channel(spec: NetworkSpec) -> qchannel.AffineChannel:
     """Affine channel implemented by the network (for roundtrip checks)."""
-    mix = np.diag(geometry.mixture_to_eta(geometry.PauliMixture(spec.weights)))
-    return qchannel.AffineChannel(spec.u2 @ mix @ spec.u1, np.zeros(3))
+    delta = np.diag(geometry.VERTICES.T @ spec.weights)
+    return qchannel.AffineChannel(spec.u2 @ delta @ spec.u1, np.zeros(3))

@@ -65,7 +65,7 @@ class AttackReport:
 def overlap(protocol: Protocol, eta) -> float:
     """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
     Raises SymmetryViolation unless eta has the protocol's symmetry."""
-    eta = np.asarray(eta, dtype=float).reshape(3)
+    eta = geometry._eta(eta)
     if protocol is Protocol.FOUR_STATE:
         if abs(eta[0] - eta[2]) > FACE_TOL:
             raise SymmetryViolation("four-state attacks need eta_x = eta_z")
@@ -77,7 +77,7 @@ def overlap(protocol: Protocol, eta) -> float:
 
 def success_probability(protocol: Protocol, eta) -> float:
     """Eve's optimal guessing probability on matched, agreeing bits."""
-    eta = np.asarray(eta, dtype=float).reshape(3)
+    eta = geometry._eta(eta)
     if not geometry.in_D(eta):
         raise NotCP(f"attack channel {eta} is not CP")
     ov = overlap(protocol, eta)
@@ -119,7 +119,7 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
 def _dilation_overlaps(eta, basis: np.ndarray) -> tuple[float, float, float]:
     """Dilation overlaps with qubit basis vectors given by the columns of
     `basis` (used to verify basis independence for symmetric attacks)."""
-    eta = np.asarray(eta, dtype=float).reshape(3)
+    eta = geometry._eta(eta)
     mix = geometry.pauli_weights(eta)
     if mix.signed:
         raise NotCP(f"eta {eta} is not CP")

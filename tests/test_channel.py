@@ -127,6 +127,12 @@ def test_affine_channel_rejects_bad_shape():
     pytest.param(lambda: qg.Trajectory([0.0, 1.0], [[1.0, 1.0, 1.0]]), id="Trajectory"),
     pytest.param(lambda: qg.mixture_to_eta([0.5, 0.5, 0.0]), id="mixture_to_eta"),
     pytest.param(lambda: qg.design_coupling([0.5, 0.5]), id="design_coupling"),
+    pytest.param(lambda: qg.overlap(qg.Protocol.FOUR_STATE, [0.5, 0.5]), id="overlap"),
+    pytest.param(lambda: qg.success_probability(qg.Protocol.FOUR_STATE, [0.5, 0.5]),
+                 id="success_probability"),
+    pytest.param(lambda: qg.probe_overlaps_dilation([0.5, 0.5]), id="probe_overlaps_dilation"),
+    pytest.param(lambda: qg.channel_from_json("eta"), id="channel_from_json-non-object"),
+    pytest.param(lambda: qg.channel_from_json({"A": {"row": 1}}), id="channel_from_json-non-numeric"),
 ])
 def test_bad_shapes_raise_bad_dimension(make):
     with pytest.raises(BadDimension):

@@ -53,16 +53,51 @@ def test_verb_table_covers_subcommands():
         a for a in parser._actions
         if isinstance(a, type(parser._subparsers._group_actions[0]))
     )
-    assert set(cli.VERBS) == set(sub.choices)
+    assert set(cli.VERBS) == set(sub.choices) == set(_VERB_ARGVS)
 
 
 def test_verb_table_operations_exist_and_unique():
     seen = {}
-    for verb, ops in cli.VERBS.items():
-        for op in ops:
+    for verb, entry in cli.VERBS.items():
+        for op in entry.operations:
             assert hasattr(qg, op), op
             assert op not in seen, f"{op} owned by {seen.get(op)} and {verb}"
             seen[op] = verb
+
+
+# argvs that between them reach every operation a verb lists
+_VERB_ARGVS = {
+    "check": [["--eta", "1", "1", "1"]],
+    "choi": [["--eta", "0", "0", "0"]],
+    "weights": [["--eta", "0", "0", "0"], ["--from-p", "0.25", "0.25", "0.25", "0.25"]],
+    "project": [["--eta", "-1", "-1", "-1"], ["--eta", "1", "1", "0", "--fix", "z=0"]],
+    "canon": [["--catalog", "transpose"]],
+    "compile": [["--catalog", "depolarize:0.5"]],
+    "run": [["--eta", ".5", ".5", ".5"], ["--eta", ".5", ".5", ".5", "--n", "100"]],
+    "dynamics": [["--alpha2", ".3", ".3", ".4", "--steps", "2"],
+                 ["--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1", "--t", "1"]],
+    "design": [["--eta", "0", "0", "0"]],
+    "qkd": [["--protocol", "four-state", "--dmax", "0.25", "--grid-resolution", "0.01"]],
+    "sw": [["--catalog", "universal_not"]],
+}
+
+
+def _spy(fn, name, called):
+    def spy(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+    return spy
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
+def test_verb_runs_its_operations(verb, monkeypatch, capsys):
+    called = set()
+    for op in cli.VERBS[verb].operations:
+        fn = getattr(qg, op)
+        monkeypatch.setattr(sys.modules[fn.__module__], op, _spy(fn, op, called))
+    for argv in _VERB_ARGVS[verb]:
+        assert cli.main([verb, *argv]) == 0, capsys.readouterr().err
+    assert called == set(cli.VERBS[verb].operations)
 
 
 def test_check_json_file_input(tmp_path):
@@ -215,6 +250,10 @@ def test_negative_numbers_in_exponent_notation(capsys):
     assert json.loads(capsys.readouterr().out)["bloch"] == [-1, 0, 0]
     assert cli.main(["dynamics", "--alpha2", "-1e-3", ".5", ".5", "--steps", "1"]) == 2
     assert "must be nonnegative" in json.loads(capsys.readouterr().err)["message"]
+    for argv in (["check", "--eta", "-inf", "0", "0"], ["check", "--eta", "0", "-nan", "0"],
+                 ["run", "--eta", "1", "1", "1", "--state", "-inf", "0", "0"]):
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteInput"
 
 
 def test_validation_error_exit_code():
@@ -261,8 +300,17 @@ def test_dynamics_rejects_empty_grid(steps):
       "--t", "1"], "NonFiniteInput"),
     (["weights", "--eta", "0", "0", "0", "--from-p", "nan", "0", "0", "1"], "NonFiniteInput"),
     (["project", "--eta", "1", "1", "0", "--fix", "z=nan"], "NonFiniteInput"),
+    (["check", "--catalog", "depolarize:abc"], "_ArgumentError"),
+    (["project", "--eta", "1", "1", "1", "--fix", "z=abc"], "_ArgumentError"),
+    (["check", "--in", '{"eta": "abc"}'], "BadDimension"),
+    (["check", "--in", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": "x"}'], "BadDimension"),
+    (["check", "--in", '"eta"'], "BadDimension"),
 ])
-def test_validation_errors_exit_2(argv, error):
+def test_validation_errors_exit_2(argv, error, tmp_path):
+    if "--in" in argv:  # the argument after --in is the file's content
+        f = tmp_path / "ch.json"
+        f.write_text(argv[-1])
+        argv = [*argv[:-1], str(f)]
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 2 and proc.stdout == b""
     assert json.loads(proc.stderr)["error"] == error

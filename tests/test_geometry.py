@@ -340,6 +340,12 @@ def test_non_finite_eta_rejected():
         qg.project_constrained([0, np.inf, 0], [True, True, False], [0.0])
     with pytest.raises(NonFiniteInput):
         qg.project_constrained([1, 1, 0], [True, True, False], [np.nan])
+    four = qg.Protocol.FOUR_STATE
+    for bad in ([np.nan, 0.0, np.nan], [np.inf, 0.0, np.inf]):
+        for op in (lambda eta: qg.overlap(four, eta), lambda eta: qg.success_probability(four, eta),
+                   qg.probe_overlaps_dilation):
+            with pytest.raises(NonFiniteInput):
+                op(bad)
 
 
 def test_bad_eta_shape_rejected():

@@ -17,17 +17,17 @@ def test_compile_identity():
     spec = qg.compile_channel(qg.catalog("identity"))
     assert np.allclose(spec.u1, np.eye(3))
     assert np.allclose(spec.u2, np.eye(3))
-    assert np.allclose(spec.amplitudes, [1, 0, 0, 0])
+    assert np.allclose(spec.weights, [1, 0, 0, 0])
 
 
 def test_compile_depolarizing():
     spec = qg.compile_channel(qg.AffineChannel.from_eta([0, 0, 0]))
-    assert np.allclose(spec.amplitudes, [0.5, 0.5, 0.5, 0.5])
+    assert np.allclose(spec.weights, [0.25, 0.25, 0.25, 0.25])
 
 
 def test_compile_best_unot_approximation():
     spec = qg.compile_channel(qg.AffineChannel.from_eta([-1 / 3, -1 / 3, -1 / 3]))
-    assert np.allclose(spec.amplitudes, [0, np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(1 / 3)])
+    assert np.allclose(spec.weights, [0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_compile_rejects_non_cp_and_non_unital():
@@ -105,10 +105,11 @@ def test_run_sampled_rejects_bad_count(rng):
 def test_network_spec_validation():
     nan_rotation = np.eye(3)
     nan_rotation[0, 1] = np.nan
-    for u1, amps in ((np.eye(3), [1.0, 1.0, 0.0, 0.0]), (2 * np.eye(3), [1.0, 0.0, 0.0, 0.0]),
-                     (np.eye(3), [np.nan, 0.0, 0.0, 0.0]), (nan_rotation, [1.0, 0.0, 0.0, 0.0])):
+    for u1, weights in ((np.eye(3), [1.0, 1.0, 0.0, 0.0]), (2 * np.eye(3), [1.0, 0.0, 0.0, 0.0]),
+                        (np.eye(3), [np.nan, 0.0, 0.0, 0.0]), (nan_rotation, [1.0, 0.0, 0.0, 0.0]),
+                        (np.eye(3), [1.5, -0.5, 0.0, 0.0])):
         with pytest.raises(QubitGeomError):
-            qg.NetworkSpec(u1, np.eye(3), amps)
+            qg.NetworkSpec(u1, np.eye(3), weights)
     with pytest.raises(QubitGeomError):
         qg.NetworkSpec(np.eye(3), nan_rotation, [1.0, 0.0, 0.0, 0.0])
 
@@ -118,7 +119,11 @@ def test_network_spec_json_roundtrip(rng):
     back = qg.NetworkSpec.from_json(spec.to_json())
     assert np.max(np.abs(back.u1 - spec.u1)) < 1e-15
     assert np.max(np.abs(back.u2 - spec.u2)) < 1e-15
-    assert np.max(np.abs(back.amplitudes - spec.amplitudes)) < 1e-15
+    assert np.max(np.abs(back.weights - spec.weights)) < 1e-15
+
+
+def _spec_from_amplitudes(u1, u2, amplitudes) -> qg.NetworkSpec:
+    return qg.NetworkSpec.from_json({"u1": u1, "u2": u2, "amplitudes": amplitudes})
 
 
 def _reference_compile(ch: qg.AffineChannel) -> qg.NetworkSpec:
@@ -131,14 +136,14 @@ def _reference_compile(ch: qg.AffineChannel) -> qg.NetworkSpec:
         raise NotCP(f"channel is not CP (Choi min eigenvalue {min_eig:.3e})")
     if ch.is_diagonal and qg.in_D(ch.eta):
         weights = np.clip(qg.pauli_weights(ch.eta).p, 0.0, None)
-        return qg.NetworkSpec(np.eye(3), np.eye(3), np.sqrt(weights / np.sum(weights)))
+        return _spec_from_amplitudes(np.eye(3), np.eye(3), np.sqrt(weights / np.sum(weights)))
     form = qg.canonical_form(ch)
     for v in geometry.VERTICES:
         delta = form.delta * v
         if qg.in_D(delta):
             u1 = np.diag(v) @ form.Q.T @ form.R
             weights = np.clip(qg.pauli_weights(delta).p, 0.0, None)
-            return qg.NetworkSpec(u1, form.Q, np.sqrt(weights / np.sum(weights)))
+            return _spec_from_amplitudes(u1, form.Q, np.sqrt(weights / np.sum(weights)))
     raise NotCP("no sign convention places the diagonal inside the tetrahedron")
 
 

@@ -168,7 +168,7 @@ def _reference_brute_force(protocol, d_max, resolution):
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
     S, Y = np.meshgrid(sym_grid, y_grid, indexing="ij")
     pts = np.stack([S.ravel(), Y.ravel(), S.ravel()], axis=1)
-    feasible = np.all(pts @ geometry.FACE_NORMALS.T <= 1.0 + 1e-9, axis=1)
+    feasible = np.all(pts @ geometry.FACE_NORMALS.T - 1.0 <= FACE_TOL, axis=1)
     pts = pts[feasible]
     vals = np.abs((pts[:, 0] + pts[:, 1]) / 2.0)
     k = int(np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], vals))[0])
@@ -210,29 +210,16 @@ def test_brute_force_matches_reference_anywhere(d, log_res, protocol):
     assert qg.brute_force_optimum(protocol, d, resolution).tobytes() == expected.tobytes()
 
 
-def _dense_brute_force(d_max, resolution):
-    """The four-state search that brute_force_optimum replaced: the same
-    float face test on every point of the dense grid."""
-    s = np.arange(1.0 - 2.0 * d_max, 1.0 + resolution / 2.0, resolution)[:, None]
-    y = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)[None, :]
-    feasible = np.all([n[0] * s + n[1] * y + n[2] * s - 1.0 <= FACE_TOL
-                       for n in geometry.FACE_NORMALS], axis=0)
-    vals = np.where(feasible, np.abs((s + y) / 2.0), np.inf)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    return np.array([s[i, 0], y[0, j], s[i, 0]])
-
-
-@pytest.mark.parametrize("resolution", [2.0 ** -7, 0.01])
+@pytest.mark.parametrize("resolution", [2.0 ** -7, 2.0 ** -5, 0.01, 0.05])
 def test_brute_force_at_the_tolerance_edge(resolution):
     # eta_min puts a grid point of the face eta_y = 2 eta_min - 1 at face slack
     # FACE_TOL to within a few ulps, where only the rounded test decides and the
-    # exact face plane guesses wrong; _reference_brute_force's "<= 1 + 1e-9"
-    # rounds differently there, so the dense form of the same test is the oracle
+    # exact face plane guesses wrong
     for y_edge in np.arange(-1.0, 0.9, resolution)[1::9]:
         d0 = (1.0 - (1.0 + y_edge + FACE_TOL) / 2.0) / 2.0
         for d in d0 + np.arange(-3, 4) * np.spacing(d0):
             got = qg.brute_force_optimum(FOUR, d, resolution)
-            assert got.tobytes() == _dense_brute_force(d, resolution).tobytes(), d
+            assert got.tobytes() == _reference_brute_force(FOUR, d, resolution).tobytes(), d
 
 
 def test_brute_force_tie_goes_to_the_smaller_eta_y():
@@ -242,7 +229,6 @@ def test_brute_force_tie_goes_to_the_smaller_eta_y():
     d = 90.5 * r / 2.0
     expected = np.array([1.0 - 90.5 * r, -1.0 + 90.0 * r, 1.0 - 90.5 * r])
     assert qg.brute_force_optimum(FOUR, d, r).tobytes() == expected.tobytes()
-    assert _dense_brute_force(d, r).tobytes() == expected.tobytes()
     assert _reference_brute_force(FOUR, d, r).tobytes() == expected.tobytes()
 
 
