@@ -16,13 +16,14 @@ T = [[1, 0], [b, A]] of the channel contracted with a fixed Pauli tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import geometry, linalg
 from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
                      UnphysicalBloch)
-from .linalg import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, _freeze
+from .linalg import PAULIS, _freeze, _trusted
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
@@ -30,24 +31,25 @@ _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in
 
 def bloch_to_density(s: np.ndarray) -> np.ndarray:
     """Density matrix (I + s . sigma) / 2 of a Bloch vector."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise BadDimension(f"Bloch vector must have 3 components, got {s.shape}")
+    s = geometry._eta(s, "Bloch vector")
     norm = np.linalg.norm(s)
-    if not np.isfinite(norm):
-        raise NonFiniteInput(f"Bloch vector must be finite, got {s}")
     if norm > 1.0 + linalg.ORTHO_TOL:
         raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
-    rho = 0.5 * (np.eye(2, dtype=complex) + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
-    return rho
+    x, y, z = s.tolist()
+    x, y = x + 0.0, y + 0.0  # + 0.0: no -0 where the Pauli sum has +0
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector s_i = Tr(rho sigma_i)."""
+    """Bloch vector s_i = Tr(rho sigma_i), read off the entries of rho."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [np.trace(rho @ p).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-    )
+    if rho.shape != (2, 2):
+        raise BadDimension(f"density matrix must be 2x2, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise NonFiniteInput("density matrix must be finite")
+    (r00, r01), (r10, r11) = rho.tolist()
+    x, y, z = (r01 + r10).real, r10.imag - r01.imag, (r00 - r11).real
+    return np.array([x + 0.0, y + 0.0, z + 0.0])  # + 0.0: no -0, as in the trace form
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,13 @@ class AffineChannel:
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
-        eta = np.asarray(eta, dtype=float)
-        return cls(np.diag(eta), np.zeros(3))
+        return cls(np.diag(geometry._eta(eta)), np.zeros(3))
 
-    @property
+    @cached_property  # A and b are read-only
     def is_unital(self) -> bool:
         return bool(np.linalg.norm(self.b) <= linalg.ROUND_TOL)
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
         off = self.A - np.diag(np.diag(self.A))
         return self.is_unital and np.max(np.abs(off)) <= linalg.ROUND_TOL
@@ -169,20 +170,18 @@ def canonical_form(ch: AffineChannel) -> CanonicalForm:
     """
     if not ch.is_unital:
         raise NotUnital("canonical form requires a unital channel")
-    U, sigma, V = linalg.svd3(ch.A)
-    d1 = sigma.copy()
-    Q = U.copy()
-    if np.linalg.det(U) < 0:
+    Q, sigma, V = linalg.svd3(ch.A)
+    if _det3(Q) < 0:
         Q[:, 2] = -Q[:, 2]
-        d1[2] = -d1[2]
+        sigma[2] = -sigma[2]
     # Need det(S) = det(V^T) so that R = Q S V^T is proper.
-    if np.linalg.det(V) < 0:
-        S = np.array([1.0, 1.0, -1.0])
-    else:
-        S = np.array([1.0, 1.0, 1.0])
-    delta = d1 * S
-    R = Q @ np.diag(S) @ V.T
-    return CanonicalForm(Q, delta, R)
+    S = np.array([1.0, 1.0, -1.0 if _det3(V) < 0 else 1.0])
+    return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
+
+
+def _det3(M: np.ndarray) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 _CATALOG = {

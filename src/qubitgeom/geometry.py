@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (BadDimension, EmptyIntersection, NonFiniteInput, OutsideCube,
                      WeightsNotNormalized)
-from .linalg import FACE_TOL, ROUND_TOL, _freeze
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _trusted
 
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
@@ -56,12 +56,15 @@ NONCP_CORNERS = -VERTICES
 TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 
 
-def _eta(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
+def _eta(eta, name: str = "eta") -> np.ndarray:
+    try:
+        eta = np.asarray(eta, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadDimension(f"{name} must be 3 numbers: {exc}") from None
     if eta.shape != (3,):
-        raise BadDimension(f"eta must have 3 components, got shape {eta.shape}")
+        raise BadDimension(f"{name} must have 3 components, got shape {eta.shape}")
     if not np.isfinite(eta).all():
-        raise NonFiniteInput(f"eta must be finite, got {eta}")
+        raise NonFiniteInput(f"{name} must be finite, got {eta}")
     return eta
 
 
@@ -94,8 +97,7 @@ class PauliMixture:
 
 def pauli_weights(eta) -> PauliMixture:
     """Vertex weights of eta: p_k = (1 - n_k . eta) / 4."""
-    eta = _eta(eta)
-    return PauliMixture((1.0 - FACE_NORMALS @ eta) / 4.0)
+    return _trusted(PauliMixture, p=(1.0 - FACE_NORMALS @ _eta(eta)) / 4.0)
 
 
 def mixture_to_eta(p) -> np.ndarray:

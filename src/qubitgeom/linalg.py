@@ -2,6 +2,11 @@
 
 Everything here operates on plain numpy arrays: complex square matrices of
 dimension 2, 4 or 8, and real 3x3 matrices. All functions are pure.
+
+The frozen value types validate in __post_init__, through _freeze. _trusted
+builds one without that check, and only a producer whose arrays are valid by
+construction may use it (canonical_form, pauli_weights, compile_channel);
+input from outside always goes through the public constructors.
 """
 
 from __future__ import annotations
@@ -34,6 +39,16 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
     a.setflags(write=False)
     object.__setattr__(obj, name, a)
     return a
+
+
+def _trusted(cls, **arrays):
+    """cls holding read-only float copies of arrays, skipping __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in arrays.items():
+        a = np.array(value, dtype=float)
+        a.setflags(write=False)
+        object.__setattr__(obj, name, a)
+    return obj
 
 
 def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:

@@ -16,6 +16,7 @@ and averages, converging to run_exact at the usual 1/sqrt(n) rate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry
 from .errors import NotCP, NotUnital, QubitGeomError
-from .linalg import ORTHO_TOL, ROUND_TOL, _freeze
+from .linalg import ORTHO_TOL, ROUND_TOL, _freeze, _trusted
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,12 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     if mix.signed:
         raise NotCP(f"channel is not CP (Choi min eigenvalue {mix.p.min():.3e})")
     weights = np.clip(mix.p, 0.0, None)
-    return NetworkSpec(u1, u2, weights / np.sum(weights))
+    return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / np.sum(weights))
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
     """Exact (density-matrix) execution of the network."""
-    s = qchannel.density_to_bloch(np.asarray(rho0, dtype=complex))
-    s = spec.u1 @ s
+    s = spec.u1 @ qchannel.density_to_bloch(rho0)
     s = (geometry.VERTICES.T @ spec.weights) * s
     s = spec.u2 @ s
     return qchannel.bloch_to_density(s)
@@ -97,11 +97,15 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     Deterministic for a fixed seed (numpy default_rng, PCG64). Returns the
     averaged density matrix and a multinomial standard-error estimate.
     """
+    try:
+        n = operator.index(n)  # numpy integers pass; 2.5 and 2.0 do not
+    except TypeError:
+        raise QubitGeomError(f"sample count must be an integer, got {n!r}") from None
     if n < 1:
         raise QubitGeomError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     p_hat = rng.multinomial(n, spec.weights / np.sum(spec.weights)) / n  # branch frequencies
-    s0 = spec.u1 @ qchannel.density_to_bloch(np.asarray(rho0, dtype=complex))
+    s0 = spec.u1 @ qchannel.density_to_bloch(rho0)
     s_avg = spec.u2 @ ((p_hat @ geometry.VERTICES) * s0)
     # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
     norm = np.linalg.norm(s_avg)

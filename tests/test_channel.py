@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import geometry
+from qubitgeom import geometry, linalg
 from qubitgeom.errors import (BadDimension, NonFiniteInput, NotCP, NotUnital, UnknownName,
                              UnphysicalBloch)
 
@@ -30,6 +30,56 @@ def test_bloch_to_density_rejects_unphysical():
     for s in ([np.nan, 0, 0], [0, np.inf, 0]):
         with pytest.raises(NonFiniteInput):
             qg.bloch_to_density(s)
+
+
+def _reference_bloch_to_density(s):
+    """The Pauli-sum form (I + s . sigma) / 2 in complex arithmetic."""
+    _, sx, sy, sz = linalg.PAULIS
+    return 0.5 * (np.eye(2, dtype=complex) + s[0] * sx + s[1] * sy + s[2] * sz)
+
+
+def _reference_density_to_bloch(rho):
+    """The trace form s_i = Tr(rho sigma_i).real, one 2x2 matmul per Pauli."""
+    return np.array([np.trace(rho @ p).real for p in linalg.PAULIS[1:]])
+
+
+def _seeded_states(rng):
+    """Axis-aligned states with exact zeros (signed, and on the sphere), the
+    centre, and random states in the ball."""
+    yield np.zeros(3)
+    for k in range(3):
+        for v in (1.0, -1.0, 0.5, -0.25):
+            s = np.zeros(3)
+            s[k] = v
+            yield s
+            yield np.where(s == 0.0, -0.0, s)
+    for _ in range(500):
+        s = rng.standard_normal(3)
+        yield s * rng.uniform(0, 1) / np.linalg.norm(s)
+
+
+def _rough_matrix(rng):
+    """A 2x2 complex matrix, not Hermitian, whose real and imaginary parts
+    mix +0, -0, +-1/2 and Gaussian values."""
+    parts = rng.choice([0.0, -0.0, 0.5, -0.5, *rng.standard_normal(4)], (2, 2, 2))
+    m = parts[0].astype(complex)
+    m.imag = parts[1]
+    return m
+
+
+def test_conversions_match_pauli_trace_forms(rng):
+    """The closed forms give the values of the Pauli traces; any signed-zero
+    difference is reported through the byte comparison."""
+    signed_zero = []
+    for s in _seeded_states(rng):
+        rho, ref_rho = qg.bloch_to_density(s), _reference_bloch_to_density(s)
+        rough = _rough_matrix(rng)
+        for got, ref in ((rho, ref_rho), (qg.density_to_bloch(rho), _reference_density_to_bloch(rho)),
+                         (qg.density_to_bloch(rough), _reference_density_to_bloch(rough))):
+            assert np.array_equal(got, ref)
+            if got.tobytes() != ref.tobytes():
+                signed_zero.append((s, got, ref))
+    assert signed_zero == []
 
 
 def test_density_bloch_roundtrip(rng):
@@ -133,6 +183,16 @@ def test_affine_channel_rejects_bad_shape():
     pytest.param(lambda: qg.probe_overlaps_dilation([0.5, 0.5]), id="probe_overlaps_dilation"),
     pytest.param(lambda: qg.channel_from_json("eta"), id="channel_from_json-non-object"),
     pytest.param(lambda: qg.channel_from_json({"A": {"row": 1}}), id="channel_from_json-non-numeric"),
+    pytest.param(lambda: qg.density_to_bloch(np.eye(3)), id="density_to_bloch"),
+    pytest.param(lambda: qg.run_exact(qg.compile_channel(qg.catalog("identity")), np.eye(3)),
+                 id="run_exact"),
+    pytest.param(lambda: qg.run_sampled(qg.compile_channel(qg.catalog("identity")), np.eye(3), 10, 0),
+                 id="run_sampled"),
+    pytest.param(lambda: qg.in_D("abc"), id="in_D-non-numeric"),
+    pytest.param(lambda: qg.overlap(qg.Protocol.FOUR_STATE, ["a", "b", "c"]), id="overlap-non-numeric"),
+    pytest.param(lambda: qg.AffineChannel.from_eta("abc"), id="from_eta-non-numeric"),
+    pytest.param(lambda: qg.AffineChannel.from_eta(5), id="from_eta-scalar"),
+    pytest.param(lambda: qg.bloch_to_density("abc"), id="bloch_to_density-non-numeric"),
 ])
 def test_bad_shapes_raise_bad_dimension(make):
     with pytest.raises(BadDimension):

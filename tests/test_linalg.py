@@ -66,6 +66,7 @@ def test_eig_rejects_non_hermitian():
 def test_non_finite_matrices_rejected():
     # NaN - NaN is NaN, and a NaN deviation passes no "> tol" test
     spec = qg.CouplingSpec.from_alpha2([1 / 3, 1 / 3, 1 / 3])
+    network = qg.compile_channel(qg.catalog("identity"))
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
         with pytest.raises(NonFiniteInput):
             linalg.hermitian_eig(bad)
@@ -73,6 +74,12 @@ def test_non_finite_matrices_rejected():
             linalg.unitary_exp(bad, 1.0)
         with pytest.raises(NonFiniteInput):
             qg.simulate_reduced(spec, 1.0, bad)
+        with pytest.raises(NonFiniteInput):
+            qg.density_to_bloch(bad)
+        with pytest.raises(NonFiniteInput):
+            qg.run_exact(network, bad)
+        with pytest.raises(NonFiniteInput):
+            qg.run_sampled(network, bad, 10, 0)
     for t in (np.nan, np.inf, -np.inf):
         with pytest.raises(NonFiniteInput):
             linalg.unitary_exp(np.eye(2), t)

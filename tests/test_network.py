@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import geometry, network, serialize
+from qubitgeom import channel as qchannel
+from qubitgeom import geometry, linalg, network, serialize
 from qubitgeom.errors import NotCP, NotUnital, QubitGeomError
 
 from conftest import random_density, random_eta_in_D, random_rotation, trace_distance
@@ -98,8 +101,11 @@ def test_run_sampled_converges():
 
 def test_run_sampled_rejects_bad_count(rng):
     spec = qg.compile_channel(qg.catalog("identity"))
-    with pytest.raises(QubitGeomError):
-        qg.run_sampled(spec, random_density(rng), 0, seed=0)
+    for n in (0, 2.5, 2.0, "10"):
+        with pytest.raises(QubitGeomError):
+            qg.run_sampled(spec, random_density(rng), n, seed=0)
+    rho0 = qg.bloch_to_density([0, 0, 1])
+    assert qg.run_sampled(spec, rho0, np.int64(2), seed=0)[1] == 0.0
 
 
 def test_network_spec_validation():
@@ -175,7 +181,15 @@ def _compile_outcome(compile_fn, ch):
         return f"NotCP: {exc}"
 
 
-def test_compile_matches_reference(rng):
+def test_compile_matches_reference(rng, monkeypatch):
+    trusted = []
+
+    def record(cls, **arrays):
+        trusted.append(linalg._trusted(cls, **arrays))
+        return trusted[-1]
+
+    for module in (qchannel, geometry, network):
+        monkeypatch.setattr(module, "_trusted", record)
     outcomes = []
     for A in _equivalence_channels(rng, 2400):
         ch = qg.AffineChannel(A, np.zeros(3))
@@ -183,3 +197,24 @@ def test_compile_matches_reference(rng):
         assert outcomes[-1] == _compile_outcome(_reference_compile, ch)
     n_not_cp = sum(o.startswith("NotCP") for o in outcomes)
     assert 600 < n_not_cp < 1800
+    # Every value built without its checks passes them unchanged.
+    assert {type(v) for v in trusted} == {qg.NetworkSpec, qg.CanonicalForm, qg.PauliMixture}
+    for value in trusted:
+        arrays = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        assert not any(a.flags.writeable for a in arrays.values())
+        rebuilt = type(value)(**arrays)
+        assert all(getattr(rebuilt, k).tobytes() == a.tobytes() for k, a in arrays.items())
+
+
+def test_compile_checks_nothing_twice(rng, monkeypatch):
+    """A rotated channel compiles without NetworkSpec.__post_init__ re-checking
+    the rotations canonical_form built, and without a determinant."""
+    ch, calls = random_cp_unital(rng), []
+    det, post_init = np.linalg.det, qg.NetworkSpec.__post_init__
+    monkeypatch.setattr(np.linalg, "det", lambda M: calls.append("det") or det(M))
+    monkeypatch.setattr(qg.NetworkSpec, "__post_init__",
+                        lambda self: calls.append("post_init") or post_init(self))
+    spec = qg.compile_channel(ch)
+    assert calls == []
+    qg.NetworkSpec(spec.u1, spec.u2, spec.weights)  # the spies see the public constructor
+    assert calls == ["post_init", "det", "det"]
