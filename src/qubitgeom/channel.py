@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry, linalg
-from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
-                     UnphysicalBloch)
+from .errors import (BadDimension, NonFiniteInput, NonHermitianInput, NotUnital,
+                     UnknownName, UnphysicalBloch)
 from .linalg import PAULIS, _freeze, _trusted
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
@@ -31,25 +31,39 @@ _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in
 
 def bloch_to_density(s: np.ndarray) -> np.ndarray:
     """Density matrix (I + s . sigma) / 2 of a Bloch vector."""
-    s = geometry._eta(s, "Bloch vector")
-    norm = np.linalg.norm(s)
-    if norm > 1.0 + linalg.ORTHO_TOL:
-        raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
+    return _density(_in_ball(geometry._eta(s, "Bloch vector")))
+
+
+def _in_ball(s: np.ndarray) -> np.ndarray:
+    if np.linalg.norm(s) > 1.0 + linalg.ORTHO_TOL:
+        raise UnphysicalBloch(f"|s| = {np.linalg.norm(s)} exceeds 1")
+    return s
+
+
+def _density(s: np.ndarray) -> np.ndarray:
+    """(I + s . sigma) / 2, unchecked: for a Bloch vector valid by construction."""
     x, y, z = s.tolist()
     x, y = x + 0.0, y + 0.0  # + 0.0: no -0 where the Pauli sum has +0
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector s_i = Tr(rho sigma_i), read off the entries of rho."""
+    """Bloch vector s_i = Tr(rho sigma_i) of a density matrix, read off its
+    entries: rho must be 2x2, finite, and Hermitian with unit trace within
+    ROUND_TOL, and |s| at most 1 + ORTHO_TOL."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise BadDimension(f"density matrix must be 2x2, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise NonFiniteInput("density matrix must be finite")
     (r00, r01), (r10, r11) = rho.tolist()
+    dev = max(abs(r01 - r10.conjugate()), 2 * abs(r00.imag), 2 * abs(r11.imag))  # max |rho - rho^H|
+    if dev > linalg.ROUND_TOL:
+        raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {linalg.ROUND_TOL:.1e}")
+    if abs((r00 + r11).real - 1.0) > linalg.ROUND_TOL:
+        raise UnphysicalBloch(f"density matrix has trace {(r00 + r11).real}, expected 1")
     x, y, z = (r01 + r10).real, r10.imag - r01.imag, (r00 - r11).real
-    return np.array([x + 0.0, y + 0.0, z + 0.0])  # + 0.0: no -0, as in the trace form
+    return _in_ball(np.array([x + 0.0, y + 0.0, z + 0.0]))  # + 0.0: no -0, as in the trace form
 
 
 @dataclass(frozen=True)
@@ -64,13 +78,13 @@ class AffineChannel:
 
     def __post_init__(self):
         A, b = _freeze(self, "A", (3, 3)), _freeze(self, "b", (3,))
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise NonFiniteInput("channel A and b must be finite")
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
-        return cls(np.diag(geometry._eta(eta)), np.zeros(3))
+        return _trusted(cls, A=np.diag(geometry._eta(eta)), b=np.zeros(3))
 
     @cached_property  # A and b are read-only
     def is_unital(self) -> bool:

@@ -20,15 +20,15 @@ serves as the independent oracle for the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import geometry, linalg
+from . import geometry, linalg, serialize
 from .errors import NonFiniteInput, NotCP, QubitGeomError
 from .linalg import ROUND_TOL, _freeze
 
 _ANCILLA_DIM = 4
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 
 
 # Axis i holds sigma_i (x) (|a1><a(i+2)| + h.c.); H is alpha . _GENERATORS.
@@ -55,6 +55,10 @@ class CouplingSpec:
         if np.any(a2 < -ROUND_TOL):
             raise QubitGeomError("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
+
+    @cached_property  # alpha is read-only; simulate_reduced's eigendecomposition
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return linalg.hermitian_eig(total_hamiltonian(self))
 
 
 def _times(t) -> np.ndarray:
@@ -103,7 +107,7 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     t = float(_times(t))
     rho0 = linalg.require_hermitian(rho0)
     full = np.kron(rho0, np.outer(_E[0], _E[0]))
-    U = linalg.unitary_exp(total_hamiltonian(spec), t)
+    U = linalg._exp_eig(*spec._eig, t)
     evolved = U @ full @ U.conj().T
     return linalg.partial_trace_ancilla(evolved, _ANCILLA_DIM)
 
@@ -129,7 +133,8 @@ def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV rendering: header t,eta_x,eta_y,eta_z and one row per sample,
-    floats at 17 significant digits."""
-    values = np.column_stack([traj.times, traj.etas]).ravel().tolist()
-    return "t,eta_x,eta_y,eta_z\n" + _CSV_ROW * len(traj.times) % tuple(values)
+    """CSV rendering: header t,eta_x,eta_y,eta_z and one row per sample, each
+    float as format(v, ".17g") writes it. serialize computes the 17-digit
+    significand of 1e-4 <= |v| < 1e16 exactly in numpy; format writes the rest."""
+    table = np.column_stack([traj.times, traj.etas])
+    return "t,eta_x,eta_y,eta_z\n" + serialize._csv_17g(table)

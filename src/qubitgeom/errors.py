@@ -18,7 +18,7 @@ class NonFiniteInput(QubitGeomError):
 
 
 class UnphysicalBloch(QubitGeomError):
-    """Bloch vector lies outside the unit ball."""
+    """Bloch vector outside the unit ball, or a density matrix of trace other than 1."""
 
 
 class NotUnital(QubitGeomError):

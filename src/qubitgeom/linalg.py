@@ -92,9 +92,11 @@ def unitary_exp(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H and finite t, via eigendecomposition (hbar = 1)."""
     if not np.isfinite(t):
         raise NonFiniteInput(f"time must be finite, got {t}")
-    w, V = hermitian_eig(H)
-    phases = np.exp(-1j * w * t)
-    return (V * phases) @ V.conj().T
+    return _exp_eig(*hermitian_eig(H), t)
+
+
+def _exp_eig(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:  # H = V diag(w) V^H
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
 def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int = 4) -> np.ndarray:

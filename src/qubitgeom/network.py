@@ -87,7 +87,7 @@ def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
     s = spec.u1 @ qchannel.density_to_bloch(rho0)
     s = (geometry.VERTICES.T @ spec.weights) * s
     s = spec.u2 @ s
-    return qchannel.bloch_to_density(s)
+    return qchannel._density(s)
 
 
 def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
@@ -112,7 +112,7 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     if norm > 1.0:
         s_avg = s_avg / norm
     stderr = float(np.sqrt(max(0.0, 1.0 - np.sum(p_hat**2)) / n))
-    return qchannel.bloch_to_density(s_avg), stderr
+    return qchannel._density(s_avg), stderr
 
 
 def induced_channel(spec: NetworkSpec) -> qchannel.AffineChannel:

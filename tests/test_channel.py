@@ -3,8 +3,8 @@ import pytest
 
 import qubitgeom as qg
 from qubitgeom import geometry, linalg
-from qubitgeom.errors import (BadDimension, NonFiniteInput, NotCP, NotUnital, UnknownName,
-                             UnphysicalBloch)
+from qubitgeom.errors import (BadDimension, NonFiniteInput, NonHermitianInput, NotCP, NotUnital,
+                              QubitGeomError, UnknownName, UnphysicalBloch)
 
 from conftest import random_eta_in_D, random_rotation
 
@@ -69,17 +69,39 @@ def _rough_matrix(rng):
 
 def test_conversions_match_pauli_trace_forms(rng):
     """The closed forms give the values of the Pauli traces; any signed-zero
-    difference is reported through the byte comparison."""
+    difference is reported through the byte comparison. A rough matrix is no
+    density matrix, and density_to_bloch rejects it."""
     signed_zero = []
     for s in _seeded_states(rng):
         rho, ref_rho = qg.bloch_to_density(s), _reference_bloch_to_density(s)
-        rough = _rough_matrix(rng)
-        for got, ref in ((rho, ref_rho), (qg.density_to_bloch(rho), _reference_density_to_bloch(rho)),
-                         (qg.density_to_bloch(rough), _reference_density_to_bloch(rough))):
+        with pytest.raises(QubitGeomError):
+            qg.density_to_bloch(_rough_matrix(rng))
+        for got, ref in ((rho, ref_rho),
+                         (qg.density_to_bloch(rho), _reference_density_to_bloch(rho))):
             assert np.array_equal(got, ref)
             if got.tobytes() != ref.tobytes():
                 signed_zero.append((s, got, ref))
     assert signed_zero == []
+
+
+def test_density_to_bloch_rejects_non_density_matrices():
+    spec = qg.compile_channel(qg.catalog("depolarize", 0.5))
+    run_exact = lambda rho: qg.run_exact(spec, rho)
+    run_sampled = lambda rho: qg.run_sampled(spec, rho, 10, 0)
+    cases = [(np.zeros((2, 2)), UnphysicalBloch),                 # trace 0
+             (3 * np.eye(2), UnphysicalBloch),                    # trace 6
+             ([[1.0, 1.0], [1.0, 0.0]], UnphysicalBloch),         # |s| = sqrt(5)
+             ([[0.5, 0.3], [-0.3, 0.5]], NonHermitianInput),
+             ([[0.5 + 1e-9j, 0.0], [0.0, 0.5]], NonHermitianInput)]
+    for rho, error in cases:
+        for convert in (qg.density_to_bloch, run_exact, run_sampled):
+            with pytest.raises(error):
+                convert(rho)
+    # within the tolerances: trace 1 + 5e-13, |s| = 1 + 5e-11, Hermitian to 5e-13
+    for rho in ([[1.0 + 5e-13, 0.0], [0.0, 0.0]], [[1.0 + 2.5e-11, 0.0], [0.0, -2.5e-11]],
+                [[0.5, 0.25 + 5e-13], [0.25, 0.5]]):
+        for convert in (qg.density_to_bloch, run_exact, run_sampled):
+            convert(rho)
 
 
 def test_density_bloch_roundtrip(rng):

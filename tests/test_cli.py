@@ -9,6 +9,8 @@ import pytest
 import qubitgeom as qg
 from qubitgeom import cli
 
+from test_dynamics import _reference_csv
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
@@ -185,6 +187,19 @@ def test_dynamics_verb_csv():
     lines = out.strip().split("\n")
     assert lines[0] == "t,eta_x,eta_y,eta_z"
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("seed,tmax", [(7, None), (8, "1e17")])
+def test_dynamics_csv_matches_per_value_format(seed, tmax):
+    # tmax 1e17 sends the times through format's exponent notation
+    rng = np.random.default_rng(seed)
+    alpha2 = rng.dirichlet(np.ones(3))
+    steps = int(rng.integers(50, 400))
+    tmax = float(tmax or rng.uniform(0.5, 4.0))
+    out = run_cli("dynamics", "--alpha2", *map(repr, alpha2.tolist()),
+                  "--tmax", repr(tmax), "--steps", str(steps)).stdout
+    traj = qg.trajectory(qg.CouplingSpec.from_alpha2(alpha2), np.linspace(0.0, tmax, steps + 1))
+    assert out == _reference_csv(traj).encode()
 
 
 def test_dynamics_oracle_flag():

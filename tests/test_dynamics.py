@@ -1,5 +1,10 @@
+import tracemalloc
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qubitgeom as qg
 from qubitgeom import dynamics, linalg
@@ -115,6 +120,20 @@ def test_simulate_reduced_matches_closed_form(rng):
         assert abs(np.trace(out) - 1.0) < 1e-10
 
 
+def test_simulate_reduced_reuses_one_eigendecomposition(rng):
+    # the cached decomposition gives the bits of a fresh unitary_exp
+    for _ in range(50):
+        spec = random_spec(rng)
+        rho0 = random_density(rng)
+        for t in rng.uniform(-10, 10, 3):
+            U = linalg.unitary_exp(dynamics.total_hamiltonian(spec), t)
+            assert linalg._exp_eig(*spec._eig, t).tobytes() == U.tobytes()
+            full = np.kron(rho0, np.diag([1.0, 0, 0, 0]))
+            expected = linalg.partial_trace_ancilla(U @ full @ U.conj().T)
+            assert qg.simulate_reduced(spec, t, rho0).tobytes() == expected.tobytes()
+        assert spec._eig is spec._eig
+
+
 def test_coupling_signs_do_not_matter(rng):
     # alpha sign flips conjugate H by a local unitary and leave eta(t) alone
     a2 = rng.dirichlet(np.ones(3))
@@ -188,6 +207,52 @@ def test_trajectory_csv_matches_reference(rng):
     for traj in (qg.trajectory(spec, np.linspace(0, np.pi, 2001)),
                  qg.trajectory(spec, []), odd):
         assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
+
+
+def _assert_csv_exact(values):
+    """trajectory_to_csv against the per-value rendering, zero-padded to rows of 4."""
+    values = np.ravel(values)
+    table = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
+    traj = dynamics.Trajectory(table[:, 0], table[:, 1:])
+    assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
+
+
+# any float64, and more of them in the decades that take the exact path
+_FLOATS = st.floats() | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(4)), elements=_FLOATS))
+def test_trajectory_csv_exact_for_any_float(table):
+    _assert_csv_exact(table)
+
+
+def test_trajectory_csv_exact_on_ties_and_powers_of_ten(rng):
+    ties = []
+    for k in range(-4, 16):  # j / 2**(17 - k) times 10**(16 - k) is j 5**(16 - k) / 2
+        lo, hi = 10**k * 2.0 ** (17 - k), min(10 ** (k + 1) * 2.0 ** (17 - k), 2.0**53)
+        for j in rng.integers(int(lo) // 2 + 1, int(hi) // 2, 200) * 2 + 1:
+            x = float(j) / 2.0 ** (17 - k)
+            assert 10**k <= x < 10 ** (k + 1)
+            assert Decimal(x).scaleb(16 - k) % 1 == Decimal("0.5")
+            ties += [x, -x]
+    _assert_csv_exact(ties)
+    powers = [float(f"1e{k}") for k in range(-5, 18)]
+    near = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)] + powers
+    near += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54 + 4, 0.5, 1.0, 0.1, 1e-4 * (1 - 2**-52)]
+    _assert_csv_exact(near + [-x for x in near])
+
+
+def test_trajectory_csv_memory_peak():
+    traj = qg.trajectory(EQUAL, np.linspace(0, np.pi, 2001))
+    qg.trajectory_to_csv(traj)
+    tracemalloc.start()
+    try:
+        qg.trajectory_to_csv(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_non_finite_times_rejected(rng):
