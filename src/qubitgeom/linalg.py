@@ -57,7 +57,7 @@ def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
         raise BadDimension(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteInput("matrix must be finite")
-    dev = np.max(np.abs(M - M.conj().T))
+    dev = np.abs(M - M.conj().T).max()
     if dev > tol:
         raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
     return M

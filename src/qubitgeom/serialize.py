@@ -6,12 +6,11 @@ digit decimals, so this walks the structure itself. Complex numbers render
 as [re, im] pairs.
 
 _csv_17g writes a float table as CSV, each value as format(v, ".17g") does,
-without dtoa's per-value bignum path for 17 digits. For 1e-4 <= |v| < 1e16,
-where ".17g" is fixed notation, the decimal exponent k is exact from a table
-of the least doubles >= 10**k, 10**(16 - k) is a double, Dekker's error-free
-product gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer
-above 2**53, so p + rint(e) is the significand rounded half to even. All other
-values (zero, subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take ".17g" itself.
+without dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
+exponent k is exact from the least doubles >= 10**k, Dekker's error-free product
+gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer above 2**53,
+so p + rint(e) is the significand rounded half to even. All other values (zero,
+subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take ".17g" itself.
 """
 
 from __future__ import annotations
@@ -54,18 +53,17 @@ _POW10 = np.array([float(10**m) for m in range(21)])  # exact: 5**20 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _DECADES = np.array([float(f"1e{k}") for k in range(-3, 16)])  # least doubles >= 10**k
-# A source row: 17 significand digits, then the bytes layouts place; row 0 has those alone.
-_ROW, _ROW0 = b"%d-0.,%%17g ", b"0" * 17 + b"-0.,%17g "
-_STRIDE, _WIDTH = len(_ROW0), 24  # a field: at most "-0.000", 17 digits and a comma
+_ROW = b"%d-0., "  # a source row: 17 significand digits, then the bytes layouts place
+_STRIDE, _WIDTH = len(_ROW % 10**16), 24  # a field: at most "-0.000", 17 digits and a comma
+_FALLBACK = np.frombuffer(b"%.17g".ljust(_WIDTH - 1) + b",", np.uint8)  # "%" fills it in last
 _BLOCK = 512  # values per gather, so that its index stays under 100 kB
 
 
 @cache  # built on first use: most processes render no CSV
 def _layouts() -> np.ndarray:
-    """Source-row positions: row ((k + 4) * 17 + s) * 2 - 1 + negative places
-    a value of decimal exponent k in [-4, 15] with s significant digits."""
-    minus, zero, dot, comma, pct, one, seven, g, pad = range(17, 26)
-    rows = [[pct, dot, one, seven, g]]
+    """Source-row positions for exponent k, s digits: row ((k + 4) * 17 + s - 1) * 2 + (v < 0)."""
+    minus, zero, dot, comma, pad = range(17, 22)
+    rows = []
     for k in range(-4, 16):
         lead = [*range(k + 1)] if k >= 0 else [zero, dot, *[zero] * (-k - 1)]
         for s in range(1, 18):
@@ -89,22 +87,25 @@ def _csv_17g(table: np.ndarray) -> str:
     """CSV lines of a 2-D float table, each value as format(v, ".17g")."""
     v = np.ascontiguousarray(table, dtype=float).ravel()
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16)  # the rest is laid out as "%.17g" and formatted last
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = a[fast]
     k = np.searchsorted(_DECADES, a, side="right") - 4
-    sig = _significand(a[fast], 16 - k[fast])
-    rows = _ROW0 + _ROW * len(sig) % tuple(sig.tolist())
+    sig = _significand(a, 16 - k)
+    rows = _ROW * len(sig) % tuple(sig.tolist())
     src = np.frombuffer(rows, np.uint8).reshape(-1, _STRIDE)
     s = np.full(len(src), 17)  # significant digits once trailing zeros go
     z = np.flatnonzero(src[:, 16] == ord("0"))
     s[z] = 17 - np.argmax(src[z, 16::-1] != ord("0"), axis=1)
-    rank = np.cumsum(fast) * fast  # source row of each value
-    code = np.where(fast, ((k + 4) * 17 + s[rank]) * 2 - 1 + (v < 0), 0)
-    out = np.empty((len(v), _WIDTH), np.uint8)  # space-padded fields
-    layouts = _layouts()
-    for i in range(0, len(v), _BLOCK):
+    code = ((k + 4) * 17 + s - 1) * 2 + (v[fast] < 0)
+    base = _STRIDE * np.arange(len(src))[:, None]
+    out = np.empty((len(src), _WIDTH), np.uint8)  # space-padded fields
+    for i in range(0, len(src), _BLOCK):
         b = slice(i, i + _BLOCK)
-        np.take(src, layouts[code[b]] + _STRIDE * rank[b, None], out=out[b])
-    del a, k, sig, rows, src, s, rank, code  # freed before the output is copied out
+        np.take(src, _layouts()[code[b]] + base[b], out=out[b])
+    del a, k, sig, rows, src, s, code, base  # freed before the output is copied out
+    if not fast.all():  # the other values are laid out as "%.17g" and formatted last
+        out, fields = np.empty((len(v), _WIDTH), np.uint8), out
+        out[fast], out[~fast] = fields, _FALLBACK
     out[table.shape[1] - 1::table.shape[1], -1] = ord("\n")
     text = out[out != ord(" ")].tobytes()
     return (text if fast.all() else text % tuple(v[~fast].tolist())).decode()

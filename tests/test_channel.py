@@ -67,17 +67,33 @@ def _rough_matrix(rng):
     return m
 
 
+def _rough_density(rng):
+    """A density matrix with diagonal (1 +- z) / 2 and off-diagonals b +- ci,
+    z, b and c in {0, +-1/4, +-1/2, +-1}, each zero part of either sign."""
+    while True:
+        z, b, c = rng.choice([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0], 3)
+        if z * z + 4 * b * b + 4 * c * c <= 1.0:
+            break
+    parts = np.array([[[(1 + z) / 2, b], [b, (1 - z) / 2]], [[0.0, c], [-c, 0.0]]])
+    parts[parts == 0.0] = rng.choice([0.0, -0.0], np.count_nonzero(parts == 0.0))
+    m = parts[0].astype(complex)
+    m.imag = parts[1]
+    return m
+
+
 def test_conversions_match_pauli_trace_forms(rng):
-    """The closed forms give the values of the Pauli traces; any signed-zero
-    difference is reported through the byte comparison. A rough matrix is no
-    density matrix, and density_to_bloch rejects it."""
+    """The closed forms give the values of the Pauli traces, also on density
+    matrices whose parts mix +0 and -0; any signed-zero difference is reported
+    through the byte comparison. A rough matrix is no density matrix, and
+    density_to_bloch rejects it."""
     signed_zero = []
     for s in _seeded_states(rng):
         rho, ref_rho = qg.bloch_to_density(s), _reference_bloch_to_density(s)
+        rough = _rough_density(rng)
         with pytest.raises(QubitGeomError):
             qg.density_to_bloch(_rough_matrix(rng))
-        for got, ref in ((rho, ref_rho),
-                         (qg.density_to_bloch(rho), _reference_density_to_bloch(rho))):
+        for got, ref in ((rho, ref_rho), (qg.density_to_bloch(rho), _reference_density_to_bloch(rho)),
+                         (qg.density_to_bloch(rough), _reference_density_to_bloch(rough))):
             assert np.array_equal(got, ref)
             if got.tobytes() != ref.tobytes():
                 signed_zero.append((s, got, ref))
