@@ -7,16 +7,16 @@ channels, network simulation, optimal QKD eavesdropping, and the
 decomposition of positive maps into CP plus CP-after-transpose.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     AffineChannel,
     CanonicalForm,
     apply,
-    apply_density,
     bloch_to_density,
     canonical_form,
     catalog,
     channel_from_json,
-    channel_to_json,
     choi,
     density_to_bloch,
     is_cp,
@@ -69,22 +69,7 @@ from .qkd import (
     success_probability,
 )
 
-__all__ = [
-    "AffineChannel", "CanonicalForm", "apply", "apply_density",
-    "bloch_to_density", "canonical_form", "catalog", "channel_from_json",
-    "channel_to_json", "choi", "density_to_bloch", "is_cp",
-    "is_positive_unital",
-    "CouplingSpec", "Trajectory", "design_coupling", "eta_of_t",
-    "simulate_reduced", "trajectory", "trajectory_to_csv",
-    "PauliMixture", "SWDecomposition", "compose", "in_D", "mixture_to_eta",
-    "pauli_weights", "project_constrained", "project_to_D", "sw_decompose",
-    "hermitian_eig", "partial_trace_ancilla", "svd3", "unitary_exp",
-    "NetworkSpec", "compile_channel", "run_exact", "run_sampled",
-    "AttackReport", "Protocol", "brute_force_optimum", "optimal_attack",
-    "overlap", "probe_overlaps_dilation", "success_probability",
-    "QubitGeomError", "NonHermitianInput", "BadDimension", "NonFiniteInput",
-    "UnphysicalBloch", "NotUnital", "NotCP", "UnknownName", "WeightsNotNormalized",
-    "EmptyIntersection", "OutsideCube", "SymmetryViolation", "DisturbanceOutOfRange",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -21,10 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry, linalg
-from .errors import (BadDimension, NonFiniteInput, NotUnital, UnknownName,
-                     UnphysicalBloch)
-from .linalg import PAULIS, _freeze, _trusted
+from . import linalg
+from .errors import BadDimension, NotUnital, UnknownName, UnphysicalBloch
+from .linalg import PAULIS, _det3, _freeze, _real, _trusted
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
@@ -32,7 +31,7 @@ _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in
 
 def bloch_to_density(s: np.ndarray) -> np.ndarray:
     """Density matrix (I + s . sigma) / 2 of a Bloch vector."""
-    return _density(_in_ball(geometry._eta(s, "Bloch vector")))
+    return _density(_in_ball(_real(s, "Bloch vector", (3,))))
 
 
 def _in_ball(s: np.ndarray) -> np.ndarray:
@@ -52,10 +51,10 @@ def _density(s: np.ndarray) -> np.ndarray:
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     """Bloch vector s_i = Tr(rho sigma_i), read off the entries of a density
     matrix: 2x2, Hermitian and of unit trace within ROUND_TOL, |s| <= 1 + ORTHO_TOL."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = linalg.require_hermitian(rho)
     if rho.shape != (2, 2):
         raise BadDimension(f"density matrix must be 2x2, got shape {rho.shape}")
-    (r00, r01), (r10, r11) = linalg.require_hermitian(rho).tolist()
+    (r00, r01), (r10, r11) = rho.tolist()
     if abs((r00 + r11).real - 1.0) > linalg.ROUND_TOL:
         raise UnphysicalBloch(f"density matrix has trace {(r00 + r11).real}, expected 1")
     x, y, z = (r01 + r10).real, r10.imag - r01.imag, (r00 - r11).real
@@ -73,14 +72,13 @@ class AffineChannel:
     b: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        A, b = _freeze(self, "A", (3, 3)), _freeze(self, "b", (3,))
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise NonFiniteInput("channel A and b must be finite")
+        _freeze(self, "A", (3, 3))
+        _freeze(self, "b", (3,))
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
-        return _trusted(cls, A=np.diag(geometry._eta(eta)), b=np.zeros(3))
+        return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))), b=np.zeros(3))
 
     @cached_property  # A and b are read-only
     def is_unital(self) -> bool:
@@ -99,19 +97,7 @@ class AffineChannel:
 
 def apply(ch: AffineChannel, s: np.ndarray) -> np.ndarray:
     """Image A s + b of a Bloch vector under the channel."""
-    return ch.A @ np.asarray(s, dtype=float) + ch.b
-
-
-def apply_density(ch: AffineChannel, rho: np.ndarray) -> np.ndarray:
-    """Action of the channel on a 2x2 matrix, extended linearly.
-
-    For a density matrix this is bloch_to_density(apply(ch, s)); the linear
-    extension to arbitrary 2x2 matrices is what the Choi construction needs.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    tr, *m = [np.trace(rho @ p) for p in PAULIS]
-    m_out = ch.A @ m + tr * ch.b
-    return 0.5 * (tr * PAULIS[0] + sum(c * p for c, p in zip(m_out, PAULIS[1:])))
+    return ch.A @ _real(s, "Bloch vector", (3,)) + ch.b
 
 
 def choi(ch: AffineChannel) -> np.ndarray:
@@ -138,7 +124,7 @@ def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]
     """
     w, _ = np.linalg.eigh(choi(ch))
     min_eig = float(w[0])
-    return -4.0 * min_eig <= tol, min_eig
+    return -4.0 * min_eig <= float(_real(tol, "tol", ())), min_eig
 
 
 def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
@@ -146,7 +132,7 @@ def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
     if not ch.is_unital:
         raise NotUnital("positivity test implemented for unital channels only")
     _, sigma, _ = linalg.svd3(ch.A)
-    return bool(sigma[0] - 1.0 <= tol)
+    return bool(sigma[0] - 1.0 <= float(_real(tol, "tol", ())))
 
 
 @dataclass(frozen=True)
@@ -189,11 +175,6 @@ def canonical_form(ch: AffineChannel) -> CanonicalForm:
     return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
 
 
-def _det3(M: np.ndarray) -> float:
-    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 _CATALOG = {
     "identity": (1.0, 1.0, 1.0),
     "rot_x": (1.0, -1.0, -1.0),
@@ -208,23 +189,16 @@ _CATALOG = {
 def catalog(name: str, p: float | None = None) -> AffineChannel:
     """Named channels: the tetrahedron vertices, the classic non-CP positive
     maps (transpose, universal_not, pancake), and depolarize(p)."""
-    if name == "depolarize":
-        if p is None:
-            raise UnknownName("depolarize requires a probability parameter")
-        if not 0.0 <= p <= 1.0:
-            raise UnknownName(f"depolarize probability {p} outside [0, 1]")
-        return AffineChannel.from_eta((1.0 - p, 1.0 - p, 1.0 - p))
-    if name not in _CATALOG:
+    if not (isinstance(name, str) and (name in _CATALOG or name == "depolarize")):
         raise UnknownName(f"unknown channel name {name!r}")
-    return AffineChannel.from_eta(_CATALOG[name])
-
-
-def channel_to_json(ch: AffineChannel) -> dict:
-    """Shared JSON schema: {"eta": [...]} for diagonal unital channels,
-    {"A": [[...]], "b": [...]} otherwise."""
-    if ch.is_diagonal:
-        return {"eta": list(ch.eta)}
-    return {"A": ch.A.tolist(), "b": ch.b.tolist()}
+    if name != "depolarize":
+        return AffineChannel.from_eta(_CATALOG[name])
+    if p is None:
+        raise UnknownName("depolarize requires a probability parameter")
+    p = float(_real(p, "depolarize probability", ()))
+    if not 0.0 <= p <= 1.0:
+        raise UnknownName(f"depolarize probability {p} outside [0, 1]")
+    return AffineChannel.from_eta((1.0 - p, 1.0 - p, 1.0 - p))
 
 
 def channel_from_json(obj) -> AffineChannel:
@@ -232,8 +206,7 @@ def channel_from_json(obj) -> AffineChannel:
     that is not an object with 3 numbers under "eta", or numeric "A" and "b"."""
     if isinstance(obj, dict) and "eta" in obj:
         eta = obj["eta"]
-        if not (isinstance(eta, list) and len(eta) == 3
-                and all(isinstance(v, (int, float)) for v in eta)):
+        if not (isinstance(eta, list) and all(isinstance(v, (int, float)) for v in eta)):
             raise BadDimension(f"eta must be a list of 3 numbers, got {eta!r}")
         return AffineChannel.from_eta(eta)
     if isinstance(obj, dict) and "A" in obj:

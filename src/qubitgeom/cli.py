@@ -25,6 +25,8 @@ from . import channel as qchannel
 from . import dynamics, geometry, network, qkd, serialize
 from .errors import QubitGeomError
 
+MAX_STEPS = 100_000  # a dynamics CSV of at most about 8 MB
+
 
 class _ArgumentError(Exception):
     pass
@@ -90,7 +92,7 @@ def _check(args):
 
 def _weights(args):
     if args.from_p is not None:
-        return {"eta": geometry.mixture_to_eta(np.asarray(args.from_p))}
+        return {"eta": geometry.mixture_to_eta(args.from_p)}
     mix = geometry.pauli_weights(_eta_from_args(args))
     return {"p": mix.p, "signed": mix.signed}
 
@@ -107,7 +109,7 @@ def _project(args):
 
 def _run(args):
     spec = network.compile_channel(_channel_from_args(args))
-    rho0 = qchannel.bloch_to_density(np.asarray(args.state))
+    rho0 = qchannel.bloch_to_density(args.state)
     if args.n is None:
         rho = network.run_exact(spec, rho0)
         return {"bloch": qchannel.density_to_bloch(rho)}
@@ -121,19 +123,19 @@ def _dynamics(args):
     if args.oracle_state is not None:
         if args.t is None:
             raise _ArgumentError("--oracle-state requires --t")
-        rho0 = qchannel.bloch_to_density(np.asarray(args.oracle_state))
+        rho0 = qchannel.bloch_to_density(args.oracle_state)
         rho = dynamics.simulate_reduced(spec, args.t, rho0)
         return {"bloch": qchannel.density_to_bloch(rho),
                 "eta": dynamics.eta_of_t(spec, args.t)}
-    if args.steps < 1:
-        raise _ArgumentError(f"--steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
     grid = np.linspace(0.0, args.tmax, args.steps + 1)
     traj = dynamics.trajectory(spec, grid)
     return dynamics.trajectory_to_csv(traj)
 
 
 def _design(args):
-    spec, t = dynamics.design_coupling(np.asarray(args.eta))
+    spec, t = dynamics.design_coupling(args.eta)
     return {"alpha": spec.alpha, "alpha2": spec.alpha**2, "t": t}
 
 
@@ -141,8 +143,7 @@ def _qkd(args):
     protocol = qkd.Protocol(args.protocol)
     report = qkd.optimal_attack(protocol, args.dmax).to_json()
     if args.grid_resolution is not None:
-        grid_eta = qkd.brute_force_optimum(protocol, args.dmax, args.grid_resolution)
-        report["grid_eta"] = grid_eta
+        report["grid_eta"] = qkd.brute_force_optimum(protocol, args.dmax, args.grid_resolution)
     return report
 
 
@@ -179,7 +180,7 @@ VERBS = {
     "dynamics": Verb("eta(t) trajectory as CSV", {
         "--alpha2": dict(type=float, nargs=3, required=True, metavar=("AX2", "AY2", "AZ2")),
         "--tmax": dict(type=float, default=float(np.pi)),
-        "--steps": dict(type=int, default=100),
+        "--steps": dict(type=int, default=100, help=f"grid intervals, at most {MAX_STEPS}"),
         "--oracle-state": dict(type=float, nargs=3, metavar=("SX", "SY", "SZ"),
                                help="run the full-space oracle on this state at --t instead"),
         "--t": dict(type=float),

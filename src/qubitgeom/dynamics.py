@@ -24,9 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
+from . import channel as qchannel
 from . import geometry, linalg, serialize
-from .errors import NonFiniteInput, NotCP, QubitGeomError
-from .linalg import ROUND_TOL, _freeze
+from .errors import NotCP, QubitGeomError, WeightsNotNormalized
+from .linalg import ROUND_TOL, _freeze, _real
 
 _ANCILLA_DIM = 4
 
@@ -45,15 +46,15 @@ class CouplingSpec:
 
     def __post_init__(self):
         a = _freeze(self, "alpha", (3,))
-        if not abs(np.sum(a * a) - 1.0) <= ROUND_TOL:  # NaN fails it too
-            raise QubitGeomError(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
+        if not abs(np.sum(a * a) - 1.0) <= ROUND_TOL:
+            raise WeightsNotNormalized(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
 
     @classmethod
     def from_alpha2(cls, alpha2) -> "CouplingSpec":
         """Build from the squared couplings (nonnegative, summing to 1)."""
-        a2 = np.asarray(alpha2, dtype=float)
+        a2 = _real(alpha2, "alpha^2", (3,))
         if np.any(a2 < -ROUND_TOL):
-            raise QubitGeomError("squared couplings must be nonnegative")
+            raise WeightsNotNormalized("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
 
     @cached_property  # alpha is read-only; simulate_reduced's eigendecomposition
@@ -61,17 +62,10 @@ class CouplingSpec:
         return linalg.hermitian_eig(total_hamiltonian(self))
 
 
-def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise NonFiniteInput(f"times must be finite, got {t}")
-    return t
-
-
 def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
     """Closed-form channel parameters after evolving for time t: shape (3,)
     for a scalar t, (..., 3) for an array of times."""
-    t = _times(t)[..., None]
+    t = _real(t, "times")[..., None]
     return np.cos(t) ** 2 + np.sin(t) ** 2 * (2.0 * spec.alpha**2 - 1.0)
 
 
@@ -84,7 +78,6 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
     p_z) renormalised. Returns t in [0, pi/2]; the identity target is
     degenerate and yields t = 0 with the conventional coupling (1, 0, 0).
     """
-    target = np.asarray(target, dtype=float)
     mix = geometry.pauli_weights(target)
     if mix.signed:
         raise NotCP(f"target {target} is not a CP diagonal channel")
@@ -104,9 +97,9 @@ def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:
 def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarray:
     """Full-Hilbert-space evolution: evolve rho0 (x) |a1><a1| by
     exp(-iHt) and trace out the ancilla."""
-    t = float(_times(t))
-    rho0 = linalg.require_hermitian(rho0)
-    full = np.kron(rho0, np.outer(_E[0], _E[0]))
+    t = float(_real(t, "time", ()))
+    qchannel.density_to_bloch(rho0)  # rejects all but a 2x2 density matrix
+    full = np.kron(np.asarray(rho0, dtype=complex), np.outer(_E[0], _E[0]))
     U = linalg._exp_eig(*spec._eig, t)
     evolved = U @ full @ U.conj().T
     return linalg.partial_trace_ancilla(evolved, _ANCILLA_DIM)
@@ -125,16 +118,15 @@ class Trajectory:
 
 
 def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
-    """Evaluate eta_of_t over an ascending grid of times."""
-    t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-    if len(t_grid) > 1 and np.any(np.diff(t_grid) < 0):
+    """Evaluate eta_of_t over an ascending 1-D grid of times."""
+    t_grid = _real(t_grid, "time grid", (-1,))
+    if np.any(np.diff(t_grid) < 0):
         raise QubitGeomError("time grid must be ascending")
     return Trajectory(t_grid, eta_of_t(spec, t_grid))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV rendering: header t,eta_x,eta_y,eta_z and one row per sample, each
-    float as format(v, ".17g") writes it. serialize computes the 17-digit
-    significand of 1e-4 <= |v| < 1e16 exactly in numpy; format writes the rest."""
+    float as format(v, ".17g") writes it."""
     table = np.column_stack([traj.times, traj.etas])
     return "t,eta_x,eta_y,eta_z\n" + serialize._csv_17g(table)

@@ -26,9 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (BadDimension, EmptyIntersection, NonFiniteInput, OutsideCube,
-                     WeightsNotNormalized)
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _trusted
+from .errors import EmptyIntersection, OutsideCube, WeightsNotNormalized
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
 
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
@@ -56,22 +55,11 @@ NONCP_CORNERS = -VERTICES
 TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 
 
-def _eta(eta, name: str = "eta") -> np.ndarray:
-    try:
-        eta = np.asarray(eta, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BadDimension(f"{name} must be 3 numbers: {exc}") from None
-    if eta.shape != (3,):
-        raise BadDimension(f"{name} must have 3 components, got shape {eta.shape}")
-    if not np.isfinite(eta).all():
-        raise NonFiniteInput(f"{name} must be finite, got {eta}")
-    return eta
-
-
 def in_D(eta, tol: float = FACE_TOL) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
     is iff every face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
-    return bool(np.all(FACE_NORMALS @ _eta(eta) - 1.0 <= tol))
+    tol = float(_real(tol, "tol", ()))
+    return bool(np.all(FACE_NORMALS @ _real(eta, "eta", (3,)) - 1.0 <= tol))
 
 
 @dataclass(frozen=True)
@@ -97,15 +85,13 @@ class PauliMixture:
 
 def pauli_weights(eta) -> PauliMixture:
     """Vertex weights of eta: p_k = (1 - n_k . eta) / 4."""
-    return _trusted(PauliMixture, p=(1.0 - FACE_NORMALS @ _eta(eta)) / 4.0)
+    return _trusted(PauliMixture, p=(1.0 - FACE_NORMALS @ _real(eta, "eta", (3,))) / 4.0)
 
 
 def mixture_to_eta(p) -> np.ndarray:
     """Convex (or affine) combination of the vertices; inverse of
     pauli_weights."""
     p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
-    if not np.isfinite(p).all():
-        raise NonFiniteInput(f"weights must be finite, got {p}")
     if abs(p.sum() - 1.0) > ROUND_TOL:
         raise WeightsNotNormalized(f"weights sum to {p.sum()}, expected 1")
     return VERTICES.T @ p
@@ -113,7 +99,7 @@ def mixture_to_eta(p) -> np.ndarray:
 
 def compose(a, b) -> np.ndarray:
     """Composition of two diagonal maps: componentwise product."""
-    return _eta(a) * _eta(b)
+    return _real(a, "a", (3,)) * _real(b, "b", (3,))
 
 
 @cache
@@ -168,7 +154,7 @@ def project_to_D(eta) -> np.ndarray:
     The trace inner product on diagonal unital maps reduces to the
     Euclidean metric in eta-space, so this is the best-CP approximation.
     """
-    return _project_polytope(_eta(eta), (True, True, True), np.zeros(0))
+    return _project_polytope(_real(eta, "eta", (3,)), (True, True, True), np.zeros(0))
 
 
 def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
@@ -178,15 +164,9 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     remaining coordinates, in coordinate order. Raises EmptyIntersection
     when the slice misses D.
     """
-    eta = _eta(eta)
-    free = np.asarray(free_mask, dtype=bool).ravel()
-    fixed_vals = np.asarray(fixed_values, dtype=float).ravel()
-    if free.shape != (3,) or fixed_vals.shape != (np.count_nonzero(~free),):
-        raise BadDimension(f"need 3 free flags and one value per pinned axis, "
-                           f"got {free.size} and {fixed_vals.size}")
-    if not np.isfinite(fixed_vals).all():
-        raise NonFiniteInput(f"pinned values must be finite, got {fixed_vals}")
-    return _project_polytope(eta, tuple(free.tolist()), fixed_vals)
+    free = _real(free_mask, "free_mask", (3,)) != 0.0
+    fixed_vals = _real(fixed_values, "pinned values", (np.count_nonzero(~free),))
+    return _project_polytope(_real(eta, "eta", (3,)), tuple(free.tolist()), fixed_vals)
 
 
 @dataclass(frozen=True)
@@ -217,7 +197,7 @@ def sw_decompose(eta) -> SWDecomposition:
     in_D(eta), and an eta up to FACE_TOL beyond the cube is split as eta /
     max|eta_k|. Raises OutsideCube past that.
     """
-    eta = _eta(eta)
+    eta = _real(eta, "eta", (3,))
     radius = np.max(np.abs(eta))
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimension, NonFiniteInput, NonHermitianInput
+from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError
 
 # Tolerances. A face slack, n . eta - 1 for a face normal n of the CP
 # tetrahedron D or |eta_k| - 1 for the cube [-1, 1]^3, is -4 times a Pauli
@@ -29,13 +29,29 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
-    """Store obj.<name> as a read-only float copy reshaped to shape; for the
-    __post_init__ of frozen value types. Raises BadDimension on a mismatch."""
+def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
+    """x as a float array of the given shape, -1 matching any length along an
+    axis (None: any shape). Raises BadDimension for a value that is not real
+    numbers or has another shape, NonFiniteInput for NaN or infinity."""
     try:
-        a = np.array(getattr(obj, name), dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise BadDimension(f"{type(obj).__name__}.{name} needs shape {shape}: {exc}") from None
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadDimension(f"{name} must be real numbers: {exc}") from None
+    if shape is not None and a.shape != shape and (
+            a.ndim != len(shape) or any(n not in (-1, m) for m, n in zip(a.shape, shape))):
+        raise BadDimension(f"{name} needs shape {shape}, got {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:  # a C loop, where ndarray.all is Python
+        raise NonFiniteInput(f"{name} must be finite")
+    return a
+
+
+def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
+    """Store obj.<name> as a read-only copy of _real(obj.<name>); for the
+    __post_init__ of frozen value types."""
+    try:
+        a = _real(getattr(obj, name), name, shape).copy()
+    except QubitGeomError as exc:  # the type is named only on the error path
+        raise type(exc)(f"{type(obj).__name__}.{exc}") from None
     a.setflags(write=False)
     object.__setattr__(obj, name, a)
     return a
@@ -52,9 +68,12 @@ def _trusted(cls, **arrays):
 
 
 def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise BadDimension(f"expected a square matrix, got shape {M.shape}")
+    try:
+        M = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadDimension(f"matrix must be numbers: {exc}") from None
+    if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
+        raise BadDimension(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteInput("matrix must be finite")
     dev = np.abs(M - M.conj().T).max()
@@ -81,31 +100,32 @@ def svd3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (U, sigma, V) with A = U @ diag(sigma) @ V.T, U and V
     orthogonal, and sigma nonnegative in descending order.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3):
-        raise BadDimension(f"expected 3x3, got shape {A.shape}")
-    U, s, Vt = np.linalg.svd(A)
+    U, s, Vt = np.linalg.svd(_real(A, "A", (3, 3)))
     return U, s, Vt.T
 
 
 def unitary_exp(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H and finite t, via eigendecomposition (hbar = 1)."""
-    if not np.isfinite(t):
-        raise NonFiniteInput(f"time must be finite, got {t}")
-    return _exp_eig(*hermitian_eig(H), t)
+    return _exp_eig(*hermitian_eig(H), float(_real(t, "time", ())))
 
 
 def _exp_eig(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:  # H = V diag(w) V^H
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
+def _det3(M: np.ndarray) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = M.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int = 4) -> np.ndarray:
-    """Trace out the ancilla of a qubit (x) ancilla state.
+    """Trace out the ancilla of a qubit (x) ancilla state, a Hermitian matrix
+    checked as require_hermitian does.
 
     Tensor ordering is system (x) ancilla, row-major: index =
     qubit_index * ancilla_dim + ancilla_index.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = require_hermitian(rho)
     if rho.shape != (2 * ancilla_dim, 2 * ancilla_dim):
         raise BadDimension(
             f"expected dim {2 * ancilla_dim}, got shape {rho.shape}"

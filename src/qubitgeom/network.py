@@ -23,8 +23,8 @@ import numpy as np
 
 from . import channel as qchannel
 from . import geometry
-from .errors import NotCP, NotUnital, QubitGeomError
-from .linalg import ORTHO_TOL, ROUND_TOL, _freeze, _trusted
+from .errors import BadDimension, NotCP, NotUnital, QubitGeomError, WeightsNotNormalized
+from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,10 @@ class NetworkSpec:
 
     def __post_init__(self):
         w = _freeze(self, "weights", (4,))
-        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= ROUND_TOL):  # NaN fails it too
-            raise QubitGeomError("weights must be nonnegative with unit sum")
+        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= ROUND_TOL):
+            raise WeightsNotNormalized("weights must be nonnegative with unit sum")
         for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
-            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and np.linalg.det(M) >= 0):
+            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and _det3(M) >= 0):
                 raise QubitGeomError("u1, u2 must be proper rotations")
 
     def to_json(self) -> dict:
@@ -54,8 +54,9 @@ class NetworkSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NetworkSpec":
-        return cls(np.asarray(obj["u1"]), np.asarray(obj["u2"]),
-                   np.asarray(obj["amplitudes"], dtype=float) ** 2)
+        if not (isinstance(obj, dict) and {"u1", "u2", "amplitudes"} <= obj.keys()):
+            raise BadDimension("network JSON needs an object with u1, u2 and amplitudes")
+        return cls(obj["u1"], obj["u2"], _real(obj["amplitudes"], "amplitudes", (4,)) ** 2)
 
 
 def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
@@ -94,15 +95,16 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
                 seed: int) -> tuple[np.ndarray, float]:
     """Monte Carlo execution: sample mixture branches and average.
 
-    Deterministic for a fixed seed (numpy default_rng, PCG64). Returns the
-    averaged density matrix and a multinomial standard-error estimate.
+    Deterministic for a fixed seed (numpy default_rng, PCG64). n and seed are
+    integers with 1 <= n < 2**63 and seed >= 0. Returns the averaged density
+    matrix and a multinomial standard-error estimate.
     """
     try:
-        n = operator.index(n)  # numpy integers pass; 2.5 and 2.0 do not
+        n, seed = operator.index(n), operator.index(seed)  # numpy integers pass; 2.0 does not
     except TypeError:
-        raise QubitGeomError(f"sample count must be an integer, got {n!r}") from None
-    if n < 1:
-        raise QubitGeomError("sample count must be >= 1")
+        raise QubitGeomError(f"n and seed must be integers, got {n!r} and {seed!r}") from None
+    if not (1 <= n < 2**63 and seed >= 0):
+        raise QubitGeomError(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
     p_hat = rng.multinomial(n, spec.weights / np.sum(spec.weights)) / n  # branch frequencies
     s0 = spec.u1 @ qchannel.density_to_bloch(rho0)

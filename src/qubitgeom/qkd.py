@@ -32,7 +32,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation
-from .linalg import FACE_TOL, PAULIS
+from .linalg import FACE_TOL, PAULIS, _real
 
 
 class Protocol(enum.Enum):
@@ -65,7 +65,7 @@ class AttackReport:
 def overlap(protocol: Protocol, eta) -> float:
     """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
     Raises SymmetryViolation unless eta has the protocol's symmetry."""
-    eta = geometry._eta(eta)
+    eta = _real(eta, "eta", (3,))
     if protocol is Protocol.FOUR_STATE:
         if abs(eta[0] - eta[2]) > FACE_TOL:
             raise SymmetryViolation("four-state attacks need eta_x = eta_z")
@@ -77,7 +77,7 @@ def overlap(protocol: Protocol, eta) -> float:
 
 def success_probability(protocol: Protocol, eta) -> float:
     """Eve's optimal guessing probability on matched, agreeing bits."""
-    eta = geometry._eta(eta)
+    eta = _real(eta, "eta", (3,))
     if not geometry.in_D(eta):
         raise NotCP(f"attack channel {eta} is not CP")
     ov = overlap(protocol, eta)
@@ -93,6 +93,7 @@ def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
     boundary or, for d_max > 1/3, at overlap 0 (four-state), or is forced
     to eta = eta_min (six-state).
     """
+    d_max = float(_real(d_max, "d_max", ()))
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
@@ -108,28 +109,15 @@ def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     """(F, D, overlap) from the explicit probe dilation.
 
-    Kraus operators sqrt(p_k) sigma_k give probe states
-    |E_ij> = sum_k <j| K_k |i> |k> in a 4-dimensional probe space; the
-    returned scalars are <E00|E00>, <E01|E01> and Re<E00|E11> in the
-    computational basis.
+    Kraus operators K_k = sqrt(p_k) sigma_k give probe states |E_ij> =
+    sum_k <j| K_k |i> |k> = sum_k K_k[j, i] |k> in a 4-dimensional probe space;
+    the returned scalars are <E00|E00>, <E01|E01> and Re<E00|E11>.
     """
-    return _dilation_overlaps(eta, np.eye(2, dtype=complex))
-
-
-def _dilation_overlaps(eta, basis: np.ndarray) -> tuple[float, float, float]:
-    """Dilation overlaps with qubit basis vectors given by the columns of
-    `basis` (used to verify basis independence for symmetric attacks)."""
-    eta = geometry._eta(eta)
     mix = geometry.pauli_weights(eta)
     if mix.signed:
         raise NotCP(f"eta {eta} is not CP")
-    p = np.clip(mix.p, 0.0, None)
-    kraus = [np.sqrt(pk) * sigma for pk, sigma in zip(p, PAULIS)]
-
-    def E(i, j):
-        return np.array([basis[:, j].conj() @ (K @ basis[:, i]) for K in kraus])
-
-    E00, E01, E11 = E(0, 0), E(0, 1), E(1, 1)
+    kraus = np.sqrt(np.clip(mix.p, 0.0, None))[:, None, None] * np.array(PAULIS)
+    E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
     F = float(np.real(E00.conj() @ E00))
     D = float(np.real(E01.conj() @ E01))
     ov = float(np.real(E00.conj() @ E11))
@@ -147,9 +135,12 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
     allowed attack. Rounding is monotone, so a grid row s is allowed on one
     interval of y, and its least |s + y| / 2 lies at one of the two columns
     around -s: O(n_sym log n_y) time and O(n_sym + n_y) memory, no grid built.
+    A resolution outside [1e-5, 0.1] raises DisturbanceOutOfRange before any
+    allocation; at 1e-5 the arrays peak at about 30 MB.
     """
-    if not 0.0 < resolution <= 0.1:
-        raise DisturbanceOutOfRange(f"resolution {resolution} outside (0, 0.1]")
+    resolution, d_max = float(_real(resolution, "resolution", ())), float(_real(d_max, "d_max", ()))
+    if not 1e-5 <= resolution <= 0.1:
+        raise DisturbanceOutOfRange(f"resolution {resolution} outside [1e-5, 0.1]")
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max

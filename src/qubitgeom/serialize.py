@@ -5,8 +5,7 @@ rather than fixed-precision; CLI output needs byte-stable 17-significant-
 digit decimals, so this walks the structure itself. Complex numbers render
 as [re, im] pairs.
 
-_csv_17g writes a float table as CSV, each value as format(v, ".17g") does,
-without dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
+_csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
 exponent k is exact from the least doubles >= 10**k, Dekker's error-free product
 gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer above 2**53,
 so p + rint(e) is the significand rounded half to even. All other values (zero,
@@ -21,10 +20,6 @@ from functools import cache
 import numpy as np
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def dumps(obj) -> str:
     if obj is None:
         return "null"
@@ -33,7 +28,7 @@ def dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, (complex, np.complexfloating)):
         return dumps([obj.real, obj.imag])
     if isinstance(obj, str):

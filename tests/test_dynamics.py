@@ -202,8 +202,8 @@ def _reference_csv(traj):
 
 def test_trajectory_csv_matches_reference(rng):
     spec = random_spec(rng)
-    odd = dynamics.Trajectory([-0.0, 5e-324, 1e300],
-                              [[np.nan, np.inf, -np.inf], [-0.0, 1e-17, 1 / 3], [2.0**60, -1.5, 0.1]])
+    odd = linalg._trusted(dynamics.Trajectory, times=[-0.0, 5e-324, 1e300], etas=[
+        [np.nan, np.inf, -np.inf], [-0.0, 1e-17, 1 / 3], [2.0**60, -1.5, 0.1]])
     for traj in (qg.trajectory(spec, np.linspace(0, np.pi, 2001)),
                  qg.trajectory(spec, []), odd):
         assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
@@ -213,7 +213,7 @@ def _assert_csv_exact(values):
     """trajectory_to_csv against the per-value rendering, zero-padded to rows of 4."""
     values = np.ravel(values)
     table = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
-    traj = dynamics.Trajectory(table[:, 0], table[:, 1:])
+    traj = linalg._trusted(dynamics.Trajectory, times=table[:, 0], etas=table[:, 1:])
     assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
 
 

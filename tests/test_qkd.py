@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qubitgeom as qg
-from qubitgeom import geometry, qkd
+from qubitgeom import geometry
 from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
                              SymmetryViolation)
-from qubitgeom.linalg import FACE_TOL
+from qubitgeom.linalg import FACE_TOL, PAULIS
 
 FOUR = qg.Protocol.FOUR_STATE
 SIX = qg.Protocol.SIX_STATE
@@ -123,12 +123,25 @@ def test_dilation_matches_closed_form(rng):
         assert abs(ov - qg.overlap(FOUR, eta)) < 1e-12
 
 
+def _dilation_overlaps(eta, basis):
+    """(F, D, overlap) of the probe dilation with qubit basis vectors given
+    by the columns of basis: <b_j| K_k |b_i> in place of K_k[j, i]."""
+    p = np.clip(qg.pauli_weights(eta).p, 0.0, None)
+    kraus = [np.sqrt(pk) * sigma for pk, sigma in zip(p, PAULIS)]
+
+    def E(i, j):
+        return np.array([basis[:, j].conj() @ (K @ basis[:, i]) for K in kraus])
+
+    E00, E01, E11 = E(0, 0), E(0, 1), E(1, 1)
+    return tuple(float(np.real(u.conj() @ v)) for u, v in ((E00, E00), (E01, E01), (E00, E11)))
+
+
 def test_dilation_basis_independent(rng):
     for _ in range(50):
         s = rng.uniform(0, 1)
         eta = np.array([s, rng.uniform(2 * s - 1, 1.0), s])
-        z = qkd._dilation_overlaps(eta, np.eye(2, dtype=complex))
-        x = qkd._dilation_overlaps(eta, _X_BASIS)
+        z = qg.probe_overlaps_dilation(eta)
+        x = _dilation_overlaps(eta, _X_BASIS)
         assert np.max(np.abs(np.array(z) - np.array(x))) < 1e-12
 
 
