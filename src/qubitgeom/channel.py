@@ -175,15 +175,9 @@ def canonical_form(ch: AffineChannel) -> CanonicalForm:
     return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
 
 
-_CATALOG = {
-    "identity": (1.0, 1.0, 1.0),
-    "rot_x": (1.0, -1.0, -1.0),
-    "rot_y": (-1.0, 1.0, -1.0),
-    "rot_z": (-1.0, -1.0, 1.0),
-    "transpose": (1.0, -1.0, 1.0),
-    "universal_not": (-1.0, -1.0, -1.0),
-    "pancake": (1.0, 1.0, 0.0),
-}
+_CATALOG = {"identity": (1.0, 1.0, 1.0), "rot_x": (1.0, -1.0, -1.0), "rot_y": (-1.0, 1.0, -1.0),
+            "rot_z": (-1.0, -1.0, 1.0), "transpose": (1.0, -1.0, 1.0),
+            "universal_not": (-1.0, -1.0, -1.0), "pancake": (1.0, 1.0, 0.0)}
 
 
 def catalog(name: str, p: float | None = None) -> AffineChannel:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as qchannel
-from . import dynamics, geometry, network, qkd, serialize
+from . import dynamics, geometry, linalg, network, qkd, serialize
 from .errors import QubitGeomError
 
 MAX_STEPS = 100_000  # a dynamics CSV of at most about 8 MB
@@ -129,9 +129,8 @@ def _dynamics(args):
                 "eta": dynamics.eta_of_t(spec, args.t)}
     if not 1 <= args.steps <= MAX_STEPS:
         raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
-    grid = np.linspace(0.0, args.tmax, args.steps + 1)
-    traj = dynamics.trajectory(spec, grid)
-    return dynamics.trajectory_to_csv(traj)
+    grid = np.linspace(0.0, linalg._real(args.tmax, "--tmax", ()), args.steps + 1)
+    return dynamics.trajectory_to_csv(dynamics.trajectory(spec, grid))
 
 
 def _design(args):
@@ -140,10 +139,9 @@ def _design(args):
 
 
 def _qkd(args):
-    protocol = qkd.Protocol(args.protocol)
-    report = qkd.optimal_attack(protocol, args.dmax).to_json()
+    report = qkd.optimal_attack(args.protocol, args.dmax).to_json()
     if args.grid_resolution is not None:
-        report["grid_eta"] = qkd.brute_force_optimum(protocol, args.dmax, args.grid_resolution)
+        report["grid_eta"] = qkd.brute_force_optimum(args.protocol, args.dmax, args.grid_resolution)
     return report
 
 

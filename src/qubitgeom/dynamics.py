@@ -99,9 +99,10 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     exp(-iHt) and trace out the ancilla."""
     t = float(_real(t, "time", ()))
     qchannel.density_to_bloch(rho0)  # rejects all but a 2x2 density matrix
-    full = np.kron(np.asarray(rho0, dtype=complex), np.outer(_E[0], _E[0]))
-    U = linalg._exp_eig(*spec._eig, t)
-    evolved = U @ full @ U.conj().T
+    # rho0 (x) |a1><a1| is zero off rows and columns 0 and 4, so it evolves to
+    # V rho0 V^H with V the columns 0 and 4 of the full unitary
+    V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
+    evolved = V @ np.asarray(rho0, dtype=complex) @ V.conj().T
     return linalg.partial_trace_ancilla(evolved, _ANCILLA_DIM)
 
 

@@ -29,25 +29,11 @@ import numpy as np
 from .errors import EmptyIntersection, OutsideCube, WeightsNotNormalized
 from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
 
+VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
-FACE_NORMALS = np.array(
-    [
-        [-1.0, -1.0, -1.0],
-        [-1.0, 1.0, 1.0],
-        [1.0, -1.0, 1.0],
-        [1.0, 1.0, -1.0],
-    ]
-)
-
-VERTICES = np.array(
-    [
-        [1.0, 1.0, 1.0],
-        [1.0, -1.0, -1.0],
-        [-1.0, 1.0, -1.0],
-        [-1.0, -1.0, 1.0],
-    ]
-)
+FACE_NORMALS = -VERTICES
 
 # Cube corners outside D; corner k is the antipode of vertex k.
 NONCP_CORNERS = -VERTICES

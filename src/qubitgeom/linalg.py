@@ -11,6 +11,8 @@ input from outside always goes through the public constructors.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError
@@ -123,12 +125,16 @@ def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int = 4) -> np.ndarray:
     checked as require_hermitian does.
 
     Tensor ordering is system (x) ancilla, row-major: index =
-    qubit_index * ancilla_dim + ancilla_index.
+    qubit_index * ancilla_dim + ancilla_index. Raises BadDimension unless
+    ancilla_dim is an integer >= 1.
     """
+    try:
+        dim = operator.index(ancilla_dim)
+    except TypeError:
+        dim = 0
+    if dim < 1:
+        raise BadDimension(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
     rho = require_hermitian(rho)
-    if rho.shape != (2 * ancilla_dim, 2 * ancilla_dim):
-        raise BadDimension(
-            f"expected dim {2 * ancilla_dim}, got shape {rho.shape}"
-        )
-    r = rho.reshape(2, ancilla_dim, 2, ancilla_dim)
-    return np.einsum("iaja->ij", r)
+    if rho.shape != (2 * dim, 2 * dim):
+        raise BadDimension(f"expected dim {2 * dim}, got shape {rho.shape}")
+    return np.einsum("iaja->ij", rho.reshape(2, dim, 2, dim))

@@ -46,11 +46,8 @@ class NetworkSpec:
                 raise QubitGeomError("u1, u2 must be proper rotations")
 
     def to_json(self) -> dict:
-        return {
-            "u1": self.u1.tolist(),
-            "u2": self.u2.tolist(),
-            "amplitudes": np.sqrt(self.weights).tolist(),
-        }
+        return {"u1": self.u1.tolist(), "u2": self.u2.tolist(),
+                "amplitudes": np.sqrt(self.weights).tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NetworkSpec":

@@ -31,13 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation
+from .errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation,
+                     UnknownName)
 from .linalg import FACE_TOL, PAULIS, _real
 
 
 class Protocol(enum.Enum):
     FOUR_STATE = "four-state"
     SIX_STATE = "six-state"
+
+
+def _protocol(protocol) -> Protocol:
+    """protocol as a Protocol: a member or its value. Raises UnknownName otherwise."""
+    try:
+        return Protocol(protocol)
+    except ValueError:
+        raise UnknownName(f"unknown protocol {protocol!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,21 +61,15 @@ class AttackReport:
     p_c: float
 
     def to_json(self) -> dict:
-        return {
-            "protocol": self.protocol.value,
-            "eta": self.eta.tolist(),
-            "D": self.disturbance,
-            "F": self.fidelity,
-            "overlap": self.overlap,
-            "p_c": self.p_c,
-        }
+        return {"protocol": self.protocol.value, "eta": self.eta.tolist(), "D": self.disturbance,
+                "F": self.fidelity, "overlap": self.overlap, "p_c": self.p_c}
 
 
-def overlap(protocol: Protocol, eta) -> float:
+def overlap(protocol: Protocol | str, eta) -> float:
     """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
     Raises SymmetryViolation unless eta has the protocol's symmetry."""
     eta = _real(eta, "eta", (3,))
-    if protocol is Protocol.FOUR_STATE:
+    if _protocol(protocol) is Protocol.FOUR_STATE:
         if abs(eta[0] - eta[2]) > FACE_TOL:
             raise SymmetryViolation("four-state attacks need eta_x = eta_z")
         return (float(eta[0]) + float(eta[1])) / 2.0
@@ -75,9 +78,9 @@ def overlap(protocol: Protocol, eta) -> float:
     return float(eta[0])
 
 
-def success_probability(protocol: Protocol, eta) -> float:
+def success_probability(protocol: Protocol | str, eta) -> float:
     """Eve's optimal guessing probability on matched, agreeing bits."""
-    eta = _real(eta, "eta", (3,))
+    protocol, eta = _protocol(protocol), _real(eta, "eta", (3,))
     if not geometry.in_D(eta):
         raise NotCP(f"attack channel {eta} is not CP")
     ov = overlap(protocol, eta)
@@ -85,7 +88,7 @@ def success_probability(protocol: Protocol, eta) -> float:
     return 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
 
 
-def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
+def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     """Eve's best symmetric attack at disturbance budget d_max.
 
     Minimises |<E00|E11>| over the CP channels with symmetric component at
@@ -93,7 +96,7 @@ def optimal_attack(protocol: Protocol, d_max: float) -> AttackReport:
     boundary or, for d_max > 1/3, at overlap 0 (four-state), or is forced
     to eta = eta_min (six-state).
     """
-    d_max = float(_real(d_max, "d_max", ()))
+    protocol, d_max = _protocol(protocol), float(_real(d_max, "d_max", ()))
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
@@ -124,7 +127,7 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     return F, D, ov
 
 
-def brute_force_optimum(protocol: Protocol, d_max: float,
+def brute_force_optimum(protocol: Protocol | str, d_max: float,
                         resolution: float) -> np.ndarray:
     """Grid-search oracle for optimal_attack.
 
@@ -138,6 +141,7 @@ def brute_force_optimum(protocol: Protocol, d_max: float,
     A resolution outside [1e-5, 0.1] raises DisturbanceOutOfRange before any
     allocation; at 1e-5 the arrays peak at about 30 MB.
     """
+    protocol = _protocol(protocol)
     resolution, d_max = float(_real(resolution, "resolution", ())), float(_real(d_max, "d_max", ()))
     if not 1e-5 <= resolution <= 0.1:
         raise DisturbanceOutOfRange(f"resolution {resolution} outside [1e-5, 0.1]")

@@ -8,8 +8,11 @@ as [re, im] pairs.
 _csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
 exponent k is exact from the least doubles >= 10**k, Dekker's error-free product
 gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer above 2**53,
-so p + rint(e) is the significand rounded half to even. All other values (zero,
-subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take ".17g" itself.
+so p + rint(e) is the significand rounded half to even. Its digit d and four
+groups of four fill a row of table words: the sign, "0." and zeros (k < 0) or a
+dot (k >= 0) with d; the groups, trailing zeros as pads; a separator. Rows with
+k > 0 move k digits over the dot, and one pass deletes the pads of all rows.
+Other values (zero, subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take "%.17g".
 """
 
 from __future__ import annotations
@@ -48,24 +51,23 @@ _POW10 = np.array([float(10**m) for m in range(21)])  # exact: 5**20 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _DECADES = np.array([float(f"1e{k}") for k in range(-3, 16)])  # least doubles >= 10**k
-_ROW = b"%d-0., "  # a source row: 17 significand digits, then the bytes layouts place
-_STRIDE, _WIDTH = len(_ROW % 10**16), 24  # a field: at most "-0.000", 17 digits and a comma
-_FALLBACK = np.frombuffer(b"%.17g".ljust(_WIDTH - 1) + b",", np.uint8)  # "%" fills it in last
-_BLOCK = 512  # values per gather, so that its index stays under 100 kB
+_W = 28  # a row: sign, "0." and zeros in bytes 0..6, 17 digits in 7..23, separator at 24
+_PAD = ord(" ")  # around each field in its row, as "%-24.17g" pads too
+_CHUNK = 1 << 16  # values rendered at a time, so that temporaries stay under 10 MB
 
 
 @cache  # built on first use: most processes render no CSV
-def _layouts() -> np.ndarray:
-    """Source-row positions for exponent k, s digits: row ((k + 4) * 17 + s - 1) * 2 + (v < 0)."""
-    minus, zero, dot, comma, pad = range(17, 22)
-    rows = []
-    for k in range(-4, 16):
-        lead = [*range(k + 1)] if k >= 0 else [zero, dot, *[zero] * (-k - 1)]
-        for s in range(1, 18):
-            frac = [*range(max(k + 1, 0), s)]
-            body = lead + ([dot] if k >= 0 and frac else []) + frac
-            rows += [body, [minus, *body]]
-    return np.array([r + [pad] * (_WIDTH - 1 - len(r)) + [comma] for r in rows])
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """Words of the "%04d" digits of i, then of i with trailing zeros as pads
+    (row 10000 + i); word pairs of row ((min(k, 0) + 4) * 2 + (v < 0)) * 10 + d."""
+    quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")  # row i: "%04d" % i
+    padded = quads.copy()
+    for j in range(4):  # digit j of i is a trailing zero where 10**(4 - j) divides i
+        padded[::10 ** (4 - j), j] = _PAD
+    heads = [b"%8s" % (sign + lead % d) for lead in b"0.000%d 0.00%d 0.0%d 0.%d %d.".split()
+             for sign in (b"", b"-") for d in range(10)]
+    return (np.concatenate([quads, padded]).view(np.uint32).ravel(),
+            np.frombuffer(b"".join(heads), np.uint32).reshape(-1, 2).T.copy())
 
 
 def _significand(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -78,29 +80,41 @@ def _significand(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
+def _fields(v: np.ndarray, ncols: int) -> bytes:
+    """The ".17g" fields of v, a newline after every ncols-th and a comma after the others."""
+    quads, heads = _tables()
+    a = np.abs(v)
+    slow = ~((a >= 1e-4) & (a < 1e16))
+    a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
+    k = np.searchsorted(_DECADES, a, side="right") - 4
+    sig = _significand(a, 16 - k)
+    out = np.empty((len(v), _W), np.uint8)
+    words = out.view(np.uint32)
+    tail = 10000  # pads the trailing zeros of the last group and of groups followed by zeros
+    for i in range(5, 1, -1):  # sig = d * 10**16 + the four-digit groups in words 2..5
+        q = sig // 10000
+        r = sig - q * 10000
+        words[:, i] = quads.take(r + tail)
+        tail = tail * (r == 0)
+        sig = q
+    head = ((np.minimum(k, 0) + 4) * 2 + (v < 0)) * 10 + sig
+    words[:, 0], words[:, 1] = heads[0].take(head), heads[1].take(head)
+    words[:, 6] = np.frombuffer(b",   ", np.uint32)
+    out[ncols - 1::ncols, -4] = ord("\n")
+    out[(k == 0) & (tail > 0), 7] = _PAD  # a whole number has no dot
+    for e in np.flatnonzero(np.bincount(k + 4)[5:]) + 1:  # k = e > 0: digits 1..e move
+        rows = np.flatnonzero(k == e)  # left over the dot, their pads back to zeros
+        digits = out[rows, 8:8 + e]
+        out[rows, 7:7 + e] = np.where(digits == _PAD, ord("0"), digits)
+        out[rows, 7 + e] = np.where(out[rows, 8 + e] == _PAD, _PAD, ord("."))
+    text = b"".join(b"%-24.17g" % x for x in v[slow].tolist())  # at most 24 bytes
+    out[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    del a, k, sig, tail, head  # freed before the rows are copied out
+    return out.tobytes().translate(None, b" ")
+
+
 def _csv_17g(table: np.ndarray) -> str:
     """CSV lines of a 2-D float table, each value as format(v, ".17g")."""
     v = np.ascontiguousarray(table, dtype=float).ravel()
-    a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a = a[fast]
-    k = np.searchsorted(_DECADES, a, side="right") - 4
-    sig = _significand(a, 16 - k)
-    rows = _ROW * len(sig) % tuple(sig.tolist())
-    src = np.frombuffer(rows, np.uint8).reshape(-1, _STRIDE)
-    s = np.full(len(src), 17)  # significant digits once trailing zeros go
-    z = np.flatnonzero(src[:, 16] == ord("0"))
-    s[z] = 17 - np.argmax(src[z, 16::-1] != ord("0"), axis=1)
-    code = ((k + 4) * 17 + s - 1) * 2 + (v[fast] < 0)
-    base = _STRIDE * np.arange(len(src))[:, None]
-    out = np.empty((len(src), _WIDTH), np.uint8)  # space-padded fields
-    for i in range(0, len(src), _BLOCK):
-        b = slice(i, i + _BLOCK)
-        np.take(src, _layouts()[code[b]] + base[b], out=out[b])
-    del a, k, sig, rows, src, s, code, base  # freed before the output is copied out
-    if not fast.all():  # the other values are laid out as "%.17g" and formatted last
-        out, fields = np.empty((len(v), _WIDTH), np.uint8), out
-        out[fast], out[~fast] = fields, _FALLBACK
-    out[table.shape[1] - 1::table.shape[1], -1] = ord("\n")
-    text = out[out != ord(" ")].tobytes()
-    return (text if fast.all() else text % tuple(v[~fast].tolist())).decode()
+    step = _CHUNK - _CHUNK % table.shape[1]  # whole lines
+    return b"".join(_fields(v[i:i + step], table.shape[1]) for i in range(0, len(v), step)).decode()

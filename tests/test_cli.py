@@ -306,6 +306,8 @@ def test_dynamics_rejects_empty_grid(steps):
      "EmptyIntersection"),
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "nan", "--steps", "2"],
      "NonFiniteInput"),
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-inf", "--steps", "4"],
+     "NonFiniteInput"),  # no numpy warning before the one JSON object on stderr
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1",
       "--t", "inf"], "NonFiniteInput"),
     (["run", "--eta", ".5", ".5", ".5", "--state", "nan", "0", "0"], "NonFiniteInput"),

@@ -4,8 +4,9 @@ and every CLI verb exits 0 or 2, never 1 (an internal fault).
 
 The fuzz replaces one argument of a valid call at a time. Arguments that take
 numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, wrong
-shapes, complex values and negative or huge integers; an argument that takes a
-library object (a channel, a spec, a protocol) keeps a valid one.
+shapes, complex values and negative or huge integers, and so does a protocol,
+which takes a Protocol or its value; an argument that takes a library object
+(a channel, a spec, a network) keeps a valid one.
 """
 
 import contextlib
@@ -62,7 +63,7 @@ CALLS = {
     "project_to_D": (qg.project_to_D, [[-1.0, -1.0, -1.0]], (0,)),
     "sw_decompose": (qg.sw_decompose, [[-0.9, -0.9, -0.9]], (0,)),
     "hermitian_eig": (qg.hermitian_eig, [RHO], (0,)),
-    "partial_trace_ancilla": (qg.partial_trace_ancilla, [np.eye(8) / 8], (0,)),
+    "partial_trace_ancilla": (qg.partial_trace_ancilla, [np.eye(8) / 8, 4], (0, 1)),
     "svd3": (qg.svd3, [np.eye(3)], (0,)),
     "unitary_exp": (qg.unitary_exp, [np.diag([1.0, -1.0]), 1.0], (0, 1)),
     "NetworkSpec": (qg.NetworkSpec, [np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0]], (0, 1, 2)),
@@ -70,11 +71,11 @@ CALLS = {
     "compile_channel": (qg.compile_channel, [CH], ()),
     "run_exact": (qg.run_exact, [NET, RHO], (1,)),
     "run_sampled": (qg.run_sampled, [NET, RHO, 10, 0], (1, 2, 3)),
-    "brute_force_optimum": (qg.brute_force_optimum, [FOUR, 0.25, 0.01], (1, 2)),
-    "optimal_attack": (qg.optimal_attack, [FOUR, 0.25], (1,)),
-    "overlap": (qg.overlap, [FOUR, [0.5, 0.0, 0.5]], (1,)),
+    "brute_force_optimum": (qg.brute_force_optimum, [FOUR, 0.25, 0.01], (0, 1, 2)),
+    "optimal_attack": (qg.optimal_attack, [FOUR, 0.25], (0, 1)),
+    "overlap": (qg.overlap, [FOUR, [0.5, 0.0, 0.5]], (0, 1)),
     "probe_overlaps_dilation": (qg.probe_overlaps_dilation, [[0.5, 0.0, 0.5]], (0,)),
-    "success_probability": (qg.success_probability, [FOUR, [0.5, 0.0, 0.5]], (1,)),
+    "success_probability": (qg.success_probability, [FOUR, [0.5, 0.0, 0.5]], (0, 1)),
 }
 # Public callables outside the fuzz: the exception classes, the Protocol enum
 # (Protocol(value) raises ValueError, as every Enum lookup does) and the result
@@ -210,7 +211,7 @@ CLI_CALLS = {
     "run": ("run --catalog depolarize:0.3 --state {0} 0 0 --n {1} --seed {2}", ["0", "10", "0"]),
     "dynamics": ("dynamics --alpha2 {0} .3 .4 --tmax {1} --steps {2}", [".3", "1", "4"]),
     "design": ("design --eta {0} -0.1 0.05", ["0.2"]),
-    "qkd": ("qkd --protocol four-state --dmax {0} --grid-resolution {1}", ["0.25", "0.01"]),
+    "qkd": ("qkd --protocol {0} --dmax {1} --grid-resolution {2}", ["four-state", "0.25", "0.01"]),
     "sw": ("sw --eta {0} -0.9 -0.9", ["-0.9"]),
 }
 _TEXTS = ["-1", "0", "1e-300", "nan", "-inf", "abc", "", "1e400", "2.5", "100000000000000000000000"]

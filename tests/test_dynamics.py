@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from decimal import Decimal
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qubitgeom as qg
-from qubitgeom import dynamics, linalg
+from qubitgeom import cli, dynamics, linalg
 from qubitgeom.errors import NonFiniteInput, NotCP, QubitGeomError
 
 from conftest import random_density, random_eta_in_D
@@ -128,9 +129,12 @@ def test_simulate_reduced_reuses_one_eigendecomposition(rng):
         for t in rng.uniform(-10, 10, 3):
             U = linalg.unitary_exp(dynamics.total_hamiltonian(spec), t)
             assert linalg._exp_eig(*spec._eig, t).tobytes() == U.tobytes()
+            V = U[:, ::4]  # the columns that meet rho0 (x) |a1><a1|
+            expected = linalg.partial_trace_ancilla(V @ rho0 @ V.conj().T)
+            out = qg.simulate_reduced(spec, t, rho0)
+            assert out.tobytes() == expected.tobytes()
             full = np.kron(rho0, np.diag([1.0, 0, 0, 0]))
-            expected = linalg.partial_trace_ancilla(U @ full @ U.conj().T)
-            assert qg.simulate_reduced(spec, t, rho0).tobytes() == expected.tobytes()
+            assert np.max(np.abs(out - linalg.partial_trace_ancilla(U @ full @ U.conj().T))) < 1e-15
         assert spec._eig is spec._eig
 
 
@@ -241,6 +245,39 @@ def test_trajectory_csv_exact_on_ties_and_powers_of_ten(rng):
     near = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)] + powers
     near += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**54 + 4, 0.5, 1.0, 0.1, 1e-4 * (1 - 2**-52)]
     _assert_csv_exact(near + [-x for x in near])
+
+
+def _decade_and_kept_digits(x):
+    """(k, s): format(x, ".17g") has its first digit at 10**k and keeps s digits."""
+    mantissa, exponent = format(x, ".16e").split("e")
+    return int(exponent), len(mantissa.lstrip("-").replace(".", "").rstrip("0"))
+
+
+def test_trajectory_csv_exact_in_every_decade():
+    # trajectories stay below 10, so only these values move integer digits over the dot
+    wanted = {(k, s) for k in range(-4, 16) for s in (1, k + 1, 17) if s >= 1}
+    values = []
+    for k, s in sorted(wanted):
+        for lead, last, middle in itertools.product("123456789", "123456789",
+                                                    ("0" * 15, "987654321098765")):
+            x = float(f"{(lead + middle[:s - 2] + last)[:s]}e{k - s + 1}")
+            if _decade_and_kept_digits(x) == (k, s):
+                values += [x, -x]
+    assert {_decade_and_kept_digits(x) for x in values} == wanted
+    _assert_csv_exact(values)
+
+
+def test_trajectory_csv_memory_peak_at_the_steps_cap():
+    # the renderer before the digit-table rows peaked at 43.7 MB or more here
+    traj = qg.trajectory(EQUAL, np.linspace(0, np.pi, cli.MAX_STEPS + 1))
+    tracemalloc.start()
+    try:
+        csv = qg.trajectory_to_csv(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert csv.count("\n") == cli.MAX_STEPS + 2
+    assert peak <= 43.7e6
 
 
 def test_trajectory_csv_memory_peak():

@@ -188,3 +188,15 @@ def test_partial_trace_linear_trace_preserving(rng):
 def test_partial_trace_bad_dimension():
     with pytest.raises(BadDimension):
         linalg.partial_trace_ancilla(np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [None, 2.5, "4", 0, -2, np.float64(4.0)])
+def test_partial_trace_rejects_bad_ancilla_dim(dim):
+    with pytest.raises(BadDimension):
+        linalg.partial_trace_ancilla(np.eye(8) / 8, dim)
+
+
+def test_partial_trace_takes_any_integer_ancilla_dim():
+    rho = np.eye(6) / 6
+    assert np.allclose(linalg.partial_trace_ancilla(rho, np.int64(3)), np.eye(2) / 2)
+    assert np.allclose(linalg.partial_trace_ancilla(np.eye(2) / 2, 1), np.eye(2) / 2)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import qubitgeom as qg
 from qubitgeom import geometry
 from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
-                             SymmetryViolation)
+                             SymmetryViolation, UnknownName)
 from qubitgeom.linalg import FACE_TOL, PAULIS
 
 FOUR = qg.Protocol.FOUR_STATE
@@ -21,6 +21,28 @@ def test_overlap_closed_forms():
     assert qg.overlap(FOUR, [1, 1, 1]) == 1.0
     assert abs(qg.overlap(FOUR, [0.5, 0.0, 0.5]) - 0.25) < 1e-15
     assert abs(qg.overlap(SIX, [0.5, 0.5, 0.5]) - 0.5) < 1e-15
+
+
+def test_protocol_given_by_value():
+    # a string protocol once took the six-state branch: eta (0.5, 0.5, 0.5)
+    report = qg.optimal_attack("four-state", 0.25)
+    assert report.protocol is FOUR and report.eta.tolist() == [0.5, 0.0, 0.5]
+    assert report.to_json()["protocol"] == "four-state"
+    assert qg.overlap("six-state", [0.5, 0.5, 0.5]) == qg.overlap(SIX, [0.5, 0.5, 0.5])
+    assert qg.success_probability("four-state", [0.5, 0.0, 0.5]) == qg.success_probability(
+        FOUR, [0.5, 0.0, 0.5])
+    assert qg.brute_force_optimum("four-state", 0.25, 0.01).tolist() == \
+        qg.brute_force_optimum(FOUR, 0.25, 0.01).tolist()
+
+
+@pytest.mark.parametrize("protocol", ["x", "FOUR_STATE", None, 4, SIX.value.upper()])
+def test_unknown_protocol_raises(protocol):
+    for call in (lambda: qg.overlap(protocol, [0.5, 0.5, 0.5]),
+                 lambda: qg.success_probability(protocol, [0.5, 0.5, 0.5]),
+                 lambda: qg.optimal_attack(protocol, 0.25),
+                 lambda: qg.brute_force_optimum(protocol, 0.25, 0.01)):
+        with pytest.raises(UnknownName):
+            call()
 
 
 def test_overlap_symmetry_violation():
