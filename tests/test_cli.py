@@ -306,8 +306,6 @@ def test_dynamics_rejects_empty_grid(steps):
      "EmptyIntersection"),
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "nan", "--steps", "2"],
      "NonFiniteInput"),
-    (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-inf", "--steps", "4"],
-     "NonFiniteInput"),  # no numpy warning before the one JSON object on stderr
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1",
       "--t", "inf"], "NonFiniteInput"),
     (["run", "--eta", ".5", ".5", ".5", "--state", "nan", "0", "0"], "NonFiniteInput"),
@@ -322,6 +320,8 @@ def test_dynamics_rejects_empty_grid(steps):
     (["check", "--in", '{"eta": "abc"}'], "BadDimension"),
     (["check", "--in", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": "x"}'], "BadDimension"),
     (["check", "--in", '"eta"'], "BadDimension"),
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-inf", "--steps", "4"],
+     "NonFiniteInput"),  # no numpy warning before the one JSON object on stderr
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content
