@@ -6,11 +6,11 @@ s -> A s + b. Unital channels (b = 0) with diagonal A are parameterised by
 the diagonal eta = (eta_x, eta_y, eta_z); the completely positive ones form
 a regular tetrahedron in eta-space (see the geometry module).
 
-Complete positivity is tested through the Choi matrix: the channel applied
-to one half of a maximally entangled pair. The Choi matrix is normalised to
-trace 1 here, so its eigenvalues of a diagonal unital channel are exactly
-the four Pauli mixture weights. It is the Pauli transfer matrix
-T = [[1, 0], [b, A]] of the channel contracted with a fixed Pauli tensor.
+Complete positivity is a property of the trace-1 Choi matrix, the channel
+applied to one half of a maximally entangled pair. A unital channel is
+factored once (one SVD, cached on the channel) as A = Q diag(delta) Q^T R,
+and its Choi eigenvalues are the Pauli weights of delta, so only a
+non-unital channel has its Choi matrix built and diagonalised.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import geometry, linalg
 from .errors import BadDimension, NotUnital, UnknownName, UnphysicalBloch
 from .linalg import PAULIS, _det3, _freeze, _real, _trusted
 
@@ -80,14 +80,32 @@ class AffineChannel:
         """Diagonal unital channel with squeezing parameters eta."""
         return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))), b=np.zeros(3))
 
-    @cached_property  # A and b are read-only
+    @cached_property  # A and b are read-only, so each of these is computed once
     def is_unital(self) -> bool:
-        return bool(np.linalg.norm(self.b) <= linalg.ROUND_TOL)
+        return math.sqrt(self.b.dot(self.b)) <= linalg.ROUND_TOL  # np.linalg.norm to the bit
 
     @cached_property
     def is_diagonal(self) -> bool:
-        off = self.A - np.diag(np.diag(self.A))
-        return self.is_unital and np.max(np.abs(off)) <= linalg.ROUND_TOL
+        (_, a01, a02), (a10, _, a12), (a20, a21, _) = self.A.tolist()
+        return self.is_unital and max(map(abs, (a01, a02, a10, a12, a20, a21))) <= linalg.ROUND_TOL
+
+    @cached_property
+    def _canonical(self) -> "CanonicalForm":
+        Q, sigma, V = linalg.svd3(self.A)
+        if _det3(Q) < 0:
+            Q[:, 2] = -Q[:, 2]
+            sigma[2] = -sigma[2]
+        # Need det(S) = det(V^T) so that R = Q S V^T is proper.
+        S = np.array([1.0, 1.0, -1.0 if _det3(V) < 0 else 1.0])
+        return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(delta, u1, u2), A = u2 diag(delta) u1: (eta, I, I) if diagonal, else from _canonical."""
+        if self.is_diagonal:
+            return self.eta, np.eye(3), np.eye(3)
+        form = self._canonical
+        return form.delta, form.Q.T @ form.R, form.Q
 
     @property
     def eta(self) -> np.ndarray:
@@ -118,21 +136,24 @@ def choi(ch: AffineChannel) -> np.ndarray:
 def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum.
 
-    Returns (flag, min_eigenvalue) where flag is True iff -4 * min_eigenvalue
-    <= tol. For a diagonal map -4 * min_eigenvalue = max_k n_k . eta - 1 is
-    the face slack of D, and tol defaults to FACE_TOL (1e-9), as in in_D.
+    Returns (flag, min_eigenvalue), flag True iff -4 * min_eigenvalue <= tol
+    (FACE_TOL, 1e-9, as in in_D). A unital channel's Choi eigenvalues are the
+    Pauli weights (1 - n . delta) / 4 of its canonical delta and are read from
+    there, so -4 * min_eigenvalue is a face slack of D and on a diagonal map the
+    flag is in_D to the bit. A non-unital channel's Choi matrix is diagonalised.
     """
-    w, _ = np.linalg.eigh(choi(ch))
-    min_eig = float(w[0])
-    return -4.0 * min_eig <= float(_real(tol, "tol", ())), min_eig
+    tol = float(_real(tol, "tol", ()))
+    w = geometry.pauli_weights(ch._factors[0]).p if ch.is_unital else np.linalg.eigh(choi(ch))[0]
+    min_eig = float(w.min())
+    return -4.0 * min_eig <= tol, min_eig
 
 
 def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
-    """Positivity test for a unital channel: A must contract the ball."""
+    """Positivity test for a unital channel: A must contract the ball, so its
+    largest singular value, delta[0] of the canonical form, is at most 1."""
     if not ch.is_unital:
         raise NotUnital("positivity test implemented for unital channels only")
-    _, sigma, _ = linalg.svd3(ch.A)
-    return bool(sigma[0] - 1.0 <= float(_real(tol, "tol", ())))
+    return bool(ch._canonical.delta[0] - 1.0 <= float(_real(tol, "tol", ())))
 
 
 @dataclass(frozen=True)
@@ -162,17 +183,12 @@ def canonical_form(ch: AffineChannel) -> CanonicalForm:
     Built from the SVD A = U diag(sigma) V^T. Improper factors are repaired
     by sign flips absorbed into delta so that Q and R always come out as
     proper rotations; the sign pattern of delta is chosen with as few
-    negative entries as possible. Works for singular A and det(A) < 0.
+    negative entries as possible. Works for singular A and det(A) < 0. The
+    form is computed once per channel: canonical_form(ch) is canonical_form(ch).
     """
     if not ch.is_unital:
         raise NotUnital("canonical form requires a unital channel")
-    Q, sigma, V = linalg.svd3(ch.A)
-    if _det3(Q) < 0:
-        Q[:, 2] = -Q[:, 2]
-        sigma[2] = -sigma[2]
-    # Need det(S) = det(V^T) so that R = Q S V^T is proper.
-    S = np.array([1.0, 1.0, -1.0 if _det3(V) < 0 else 1.0])
-    return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
+    return ch._canonical
 
 
 _CATALOG = {"identity": (1.0, 1.0, 1.0), "rot_x": (1.0, -1.0, -1.0), "rot_y": (-1.0, 1.0, -1.0),

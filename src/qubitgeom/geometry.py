@@ -45,7 +45,7 @@ def in_D(eta, tol: float = FACE_TOL) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
     is iff every face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
     tol = float(_real(tol, "tol", ()))
-    return bool(np.all(FACE_NORMALS @ _real(eta, "eta", (3,)) - 1.0 <= tol))
+    return bool((FACE_NORMALS @ _real(eta, "eta", (3,)) - 1.0 <= tol).all())
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class PauliMixture:
     @property
     def signed(self) -> bool:
         """True iff some face slack -4 p_k exceeds FACE_TOL (1e-9), as in in_D."""
-        return bool(np.max(-4.0 * self.p) > FACE_TOL)
+        return bool((-4.0 * self.p).max() > FACE_TOL)
 
 
 def pauli_weights(eta) -> PauliMixture:
@@ -184,16 +184,16 @@ def sw_decompose(eta) -> SWDecomposition:
     max|eta_k|. Raises OutsideCube past that.
     """
     eta = _real(eta, "eta", (3,))
-    radius = np.max(np.abs(eta))
+    radius = abs(eta).max()
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
     slack = FACE_NORMALS @ eta - 1.0
-    if np.all(slack <= FACE_TOL):
+    if (slack <= FACE_TOL).all():
         return SWDecomposition(1.0, eta.copy(), TRANSPOSE_ETA.copy(), VERTICES[0].copy())
     if radius > 1.0:  # slack[k] becomes (slack[k] + 1 - radius) / radius > 0
         eta = eta / radius
         slack = FACE_NORMALS @ eta - 1.0
-    k = int(np.argmax(slack))  # the single violated face
+    k = int(slack.argmax())  # the single violated face
     corner = NONCP_CORNERS[k]
     # eta = (1 - p) corner + p cp1, n_k . cp1 = 1, n_k . corner = 3; d is exact near the corner
     d = eta - corner

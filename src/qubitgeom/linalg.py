@@ -5,8 +5,8 @@ dimension 2, 4 or 8, and real 3x3 matrices. All functions are pure.
 
 The frozen value types validate in __post_init__, through _freeze. _trusted
 builds one without that check, and only a producer whose arrays are valid by
-construction may use it (canonical_form, pauli_weights, compile_channel);
-input from outside always goes through the public constructors.
+construction may use it (from_eta, a channel's cached canonical form,
+pauli_weights, compile_channel); outside input goes through the constructors.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
         raise BadDimension(f"matrix must be numbers: {exc}") from None
     if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
         raise BadDimension(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
+    if np.count_nonzero(np.isfinite(M)) != M.size:  # before M - M^H: inf - inf warns
         raise NonFiniteInput("matrix must be finite")
     dev = np.abs(M - M.conj().T).max()
     if dev > tol:

@@ -16,6 +16,7 @@ and averages, converging to run_exact at the usual 1/sqrt(n) rate.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -60,24 +61,20 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     """Compile a unital CP channel into the rotation/mixture/rotation form.
 
     A diagonal channel compiles without rotations; any other is factored as
-    A = Q diag(delta) Q^T R. The channel is CP exactly when delta lies in D,
-    and the Pauli weights of delta are then its Choi eigenvalues, so NotCP
-    reports the smallest weight. No sign flip can rescue a delta outside D:
-    flipping two signs of delta permutes the face normals of D, so the
-    flipped delta has the same face slacks.
+    A = Q diag(delta) Q^T R, once per channel, as is_cp reads it. The channel
+    is CP exactly when delta lies in D, and the Pauli weights of delta are then
+    its Choi eigenvalues, so NotCP reports the smallest weight. No sign flip
+    can rescue a delta outside D: flipping two signs of delta permutes the face
+    normals of D, so the flipped delta has the same face slacks.
     """
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
-    if ch.is_diagonal:
-        delta, u1, u2 = ch.eta, np.eye(3), np.eye(3)
-    else:
-        form = qchannel.canonical_form(ch)
-        delta, u1, u2 = form.delta, form.Q.T @ form.R, form.Q
+    delta, u1, u2 = ch._factors
     mix = geometry.pauli_weights(delta)
     if mix.signed:
         raise NotCP(f"channel is not CP (Choi min eigenvalue {mix.p.min():.3e})")
-    weights = np.clip(mix.p, 0.0, None)
-    return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / np.sum(weights))
+    weights = np.maximum(mix.p, 0.0)
+    return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / weights.sum())
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
@@ -103,14 +100,14 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     if not (1 <= n < 2**63 and seed >= 0):
         raise QubitGeomError(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
-    p_hat = rng.multinomial(n, spec.weights / np.sum(spec.weights)) / n  # branch frequencies
+    p_hat = rng.multinomial(n, spec.weights / spec.weights.sum()) / n  # branch frequencies
     s0 = spec.u1 @ qchannel.density_to_bloch(rho0)
     s_avg = spec.u2 @ ((p_hat @ geometry.VERTICES) * s0)
     # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
-    norm = np.linalg.norm(s_avg)
+    norm = math.sqrt(s_avg.dot(s_avg))  # np.linalg.norm to the bit
     if norm > 1.0:
         s_avg = s_avg / norm
-    stderr = float(np.sqrt(max(0.0, 1.0 - np.sum(p_hat**2)) / n))
+    stderr = math.sqrt(max(0.0, 1.0 - (p_hat**2).sum()) / n)
     return qchannel._density(s_avg), stderr
 
 

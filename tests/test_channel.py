@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import geometry, linalg
+from qubitgeom import channel, geometry, linalg
 from qubitgeom.errors import (BadDimension, NonFiniteInput, NonHermitianInput, NotCP, NotUnital,
                               QubitGeomError, UnknownName, UnphysicalBloch)
 
@@ -360,6 +362,96 @@ def test_canonical_form_random_contractions(rng):
         if sig[0] > 1:
             A = A / sig[0]
         _check_canonical(qg.AffineChannel(A, np.zeros(3)))
+
+
+_CUBE = np.array([-1.0, -0.5, -1 / 3, 0.0, 1 / 3, 0.5, 1.0])
+_ODD_SIGNS = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]])
+
+
+def _oracle_deltas(rng, n):
+    """n seeded deltas over the cases of the canonical form: general, points of
+    the cube grid (faces, edges and vertices of D among them), det < 0, rank 1
+    and 2, and beyond the cube (1 < max |delta_k| <= 1.25)."""
+    for i in range(n):
+        kind = i % 6
+        if kind == 0:
+            yield rng.uniform(-1, 1, 3)
+        elif kind == 1:
+            yield rng.choice(_CUBE, 3)
+        elif kind == 2:
+            yield rng.uniform(0, 1, 3) * _ODD_SIGNS[rng.integers(4)]
+        elif kind == 3:
+            yield np.array([rng.uniform(-1, 1), 0.0, 0.0])
+        elif kind == 4:
+            yield rng.permutation([rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0])
+        else:
+            d = rng.uniform(-1.25, 1.25, 3)
+            d[i % 3] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 + 1e-6, 1.25)
+            yield d
+
+
+def test_is_cp_reads_the_choi_spectrum_from_delta(rng):
+    """The minimum Pauli weight of delta is the Choi matrix's least eigenvalue:
+    to the bit on a diagonal map, within 1e-15 after rotations."""
+    deltas = list(_oracle_deltas(rng, 2400))
+    assert min(np.sum(np.prod(deltas, axis=1) < 0), np.sum(np.max(np.abs(deltas), axis=1) > 1),
+               *np.bincount(np.count_nonzero(deltas, axis=1))[1:]) >= 300
+    for delta in deltas:
+        diag = qg.AffineChannel.from_eta(delta)
+        flag, min_eig = qg.is_cp(diag)
+        assert min_eig == qg.pauli_weights(delta).p.min()
+        assert flag == qg.in_D(delta)
+        rotated = qg.AffineChannel(random_rotation(rng) @ np.diag(delta) @ random_rotation(rng))
+        flag, min_eig = qg.is_cp(rotated)
+        assert abs(min_eig - np.linalg.eigh(qg.choi(rotated))[0][0]) <= 1e-15, delta
+        assert flag == qg.in_D(delta)
+
+
+def test_is_cp_of_a_non_unital_channel_is_the_choi_eigenvalue(rng):
+    for _ in range(300):
+        ch = qg.AffineChannel(rng.uniform(-0.6, 0.6, (3, 3)), rng.uniform(-0.4, 0.4, 3))
+        flag, min_eig = qg.is_cp(ch)
+        assert min_eig == float(np.linalg.eigh(qg.choi(ch))[0][0])
+        assert flag == (-4.0 * min_eig <= linalg.FACE_TOL)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the SVDs, Choi matrices and Hermitian eigensolves run."""
+    counts = Counter()
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(np.linalg, "svd")
+    spy(np.linalg, "eigh")
+    spy(channel, "choi")
+    return counts
+
+
+@pytest.mark.parametrize("then", [qg.compile_channel, qg.canonical_form, qg.is_positive_unital])
+def test_one_factorisation_per_channel(then, calls, rng):
+    A = random_rotation(rng) @ np.diag([0.5, 0.3, -0.2]) @ random_rotation(rng)
+    ch = qg.AffineChannel(A)
+    assert qg.is_cp(ch)[0]
+    then(ch)
+    assert calls == {"svd": 1}
+    assert qg.canonical_form(ch) is qg.canonical_form(ch)
+    assert calls == {"svd": 1}
+
+
+def test_factorisation_counts_by_kind(calls):
+    diag = qg.AffineChannel.from_eta([0.5, 0.3, -0.2])
+    qg.is_cp(diag)
+    qg.compile_channel(diag)
+    assert calls == {}  # a diagonal channel compiles without rotations
+    qg.is_cp(qg.AffineChannel(np.diag([0.5, 0.3, -0.2]), [0.1, 0.0, 0.0]))
+    assert calls == {"choi": 1, "eigh": 1}  # a non-unital channel has no delta
 
 
 def test_catalog_entries():

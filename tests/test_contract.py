@@ -2,7 +2,8 @@
 qubitgeom.__all__ returns a finite result or raises a QubitGeomError subclass,
 and every CLI verb exits 0 or 2, never 1 (an internal fault).
 
-The fuzz replaces one argument of a valid call at a time. Arguments that take
+The fuzz replaces one argument of a valid call at a time, and a fixed list of
+special values goes through every such argument. Arguments that take
 numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, wrong
 shapes, complex values and negative or huge integers, and so does a protocol,
 which takes a Protocol or its value; an argument that takes a library object
@@ -138,6 +139,21 @@ def test_adversarial_argument_never_leaks(slot, value):
     args = list(args)
     args[index] = value
     _assert_contract(fn, args)
+
+
+@pytest.mark.parametrize("slot", SLOTS, ids=[f"{name}-{index}" for name, index in SLOTS])
+def test_every_special_value_in_every_slot(slot):
+    """The fuzz above gives each slot 3 or 4 of its examples; this passes each
+    of the _SPECIAL values through every slot."""
+    name, index = slot
+    fn, args, _ = CALLS[name]
+    for value in _SPECIAL:
+        call = list(args)
+        call[index] = value
+        try:
+            _assert_contract(fn, call)
+        except Exception as exc:
+            raise AssertionError(f"{name} with argument {index} = {value!r}") from exc
 
 
 @pytest.mark.parametrize("call,error", [
