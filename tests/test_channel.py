@@ -386,7 +386,7 @@ def _oracle_deltas(rng, n):
             yield rng.permutation([rng.uniform(-1, 1), rng.uniform(-1, 1), 0.0])
         else:
             d = rng.uniform(-1.25, 1.25, 3)
-            d[i % 3] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 + 1e-6, 1.25)
+            d[rng.integers(3)] = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 + 1e-6, 1.25)
             yield d
 
 
