@@ -91,13 +91,13 @@ class AffineChannel:
 
     @cached_property
     def _canonical(self) -> "CanonicalForm":
-        Q, sigma, V = linalg.svd3(self.A)
+        Q, sigma, Vt = np.linalg.svd(self.A)  # svd3 without its check: A is frozen
         if _det3(Q) < 0:
             Q[:, 2] = -Q[:, 2]
             sigma[2] = -sigma[2]
         # Need det(S) = det(V^T) so that R = Q S V^T is proper.
-        S = np.array([1.0, 1.0, -1.0 if _det3(V) < 0 else 1.0])
-        return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ V.T)
+        S = np.array([1.0, 1.0, -1.0 if _det3(Vt) < 0 else 1.0])
+        return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ Vt)
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,9 +142,9 @@ def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]
     there, so -4 * min_eigenvalue is a face slack of D and on a diagonal map the
     flag is in_D to the bit. A non-unital channel's Choi matrix is diagonalised.
     """
-    tol = float(_real(tol, "tol", ()))
-    w = geometry.pauli_weights(ch._factors[0]).p if ch.is_unital else np.linalg.eigh(choi(ch))[0]
-    min_eig = float(w.min())
+    tol = tol if tol is linalg.FACE_TOL else float(_real(tol, "tol", ()))
+    w = geometry._weights(ch._factors[0]) if ch.is_unital else np.linalg.eigh(choi(ch))[0]
+    min_eig = min(w.tolist())
     return -4.0 * min_eig <= tol, min_eig
 
 
@@ -153,7 +153,8 @@ def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
     largest singular value, delta[0] of the canonical form, is at most 1."""
     if not ch.is_unital:
         raise NotUnital("positivity test implemented for unital channels only")
-    return bool(ch._canonical.delta[0] - 1.0 <= float(_real(tol, "tol", ())))
+    tol = tol if tol is linalg.FACE_TOL else float(_real(tol, "tol", ()))
+    return bool(ch._canonical.delta[0] - 1.0 <= tol)
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,10 @@ VERBS = {
         "--protocol": dict(required=True, choices=["four-state", "six-state"]),
         "--dmax": dict(type=float, required=True),
         "--grid-resolution": dict(type=float, help="also cross-check with the grid-search oracle"),
-    }, _qkd, ("optimal_attack", "success_probability", "overlap", "brute_force_optimum")),
+    }, _qkd, ("optimal_attack", "brute_force_optimum")),
     "sw": Verb("CP + CP-after-transpose decomposition", _CHANNEL_ARGS,
                lambda args: asdict(geometry.sw_decompose(_eta_from_args(args))),
-               ("sw_decompose", "compose")),
+               ("sw_decompose",)),
 }
 
 

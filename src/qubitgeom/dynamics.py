@@ -27,7 +27,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import NotCP, QubitGeomError, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _real
+from .linalg import ROUND_TOL, _freeze, _real, _trusted
 
 _ANCILLA_DIM = 4
 
@@ -59,13 +59,17 @@ class CouplingSpec:
 
     @cached_property  # alpha is read-only; simulate_reduced's eigendecomposition
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return linalg.hermitian_eig(total_hamiltonian(self))
+        return np.linalg.eigh(total_hamiltonian(self))  # Hermitian by construction
 
 
 def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
     """Closed-form channel parameters after evolving for time t: shape (3,)
     for a scalar t, (..., 3) for an array of times."""
-    t = _real(t, "times")[..., None]
+    return _eta_of_t(spec, _real(t, "times"))
+
+
+def _eta_of_t(spec: CouplingSpec, t: np.ndarray) -> np.ndarray:
+    t = t[..., None]
     return np.cos(t) ** 2 + np.sin(t) ** 2 * (2.0 * spec.alpha**2 - 1.0)
 
 
@@ -103,7 +107,7 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     # V rho0 V^H with V the columns 0 and 4 of the full unitary
     V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
     evolved = V @ np.asarray(rho0, dtype=complex) @ V.conj().T
-    return linalg.partial_trace_ancilla(evolved, _ANCILLA_DIM)
+    return linalg._trace_ancilla(evolved, _ANCILLA_DIM)
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,7 @@ def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
     t_grid = _real(t_grid, "time grid", (-1,))
     if np.any(np.diff(t_grid) < 0):
         raise QubitGeomError("time grid must be ascending")
-    return Trajectory(t_grid, eta_of_t(spec, t_grid))
+    return _trusted(Trajectory, times=t_grid, etas=_eta_of_t(spec, t_grid))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -34,6 +34,7 @@ VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
 FACE_NORMALS = -VERTICES
+_FACE_RHS = np.ones(4)
 
 # Cube corners outside D; corner k is the antipode of vertex k.
 NONCP_CORNERS = -VERTICES
@@ -44,7 +45,7 @@ TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 def in_D(eta, tol: float = FACE_TOL) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
     is iff every face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
-    tol = float(_real(tol, "tol", ()))
+    tol = tol if tol is FACE_TOL else float(_real(tol, "tol", ()))
     return bool((FACE_NORMALS @ _real(eta, "eta", (3,)) - 1.0 <= tol).all())
 
 
@@ -71,7 +72,11 @@ class PauliMixture:
 
 def pauli_weights(eta) -> PauliMixture:
     """Vertex weights of eta: p_k = (1 - n_k . eta) / 4."""
-    return _trusted(PauliMixture, p=(1.0 - FACE_NORMALS @ _real(eta, "eta", (3,))) / 4.0)
+    return _trusted(PauliMixture, p=_weights(_real(eta, "eta", (3,))))
+
+
+def _weights(eta: np.ndarray) -> np.ndarray:  # eta: a float array of shape (3,)
+    return (1.0 - FACE_NORMALS @ eta) / 4.0
 
 
 def mixture_to_eta(p) -> np.ndarray:
@@ -110,16 +115,14 @@ def _steps(free: tuple[bool, bool, bool]):
     return G, W.reshape(-1, len(G)), W.any(axis=1).astype(float)
 
 
-def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool],
-                      fixed_vals: np.ndarray) -> np.ndarray:
-    """Nearest point of D intersected with {eta[~free] = fixed_vals} to y.
+def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarray) -> np.ndarray:
+    """Nearest point to y of D on the slice {eta[~free] = r[:-4]}; r[-4:] is _FACE_RHS.
 
     Takes the KKT step x_k = y - W_k (G y - r) for every active set k at once;
     the projection onto a nonempty convex polytope is among the candidates that
     meet their own constraints and lie in D. Raises EmptyIntersection if none does.
     """
     G, W, rows = _steps(free)
-    r = np.concatenate((fixed_vals, np.ones(4)))
     X = y - (W @ (G @ y - r)).reshape(-1, 3)
     resid = X @ G.T - r
     # |resid| <= FACE_TOL on the set's own rows, resid <= FACE_TOL on the others
@@ -140,7 +143,7 @@ def project_to_D(eta) -> np.ndarray:
     The trace inner product on diagonal unital maps reduces to the
     Euclidean metric in eta-space, so this is the best-CP approximation.
     """
-    return _project_polytope(_real(eta, "eta", (3,)), (True, True, True), np.zeros(0))
+    return _project_polytope(_real(eta, "eta", (3,)), (True, True, True), _FACE_RHS)
 
 
 def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
@@ -152,7 +155,8 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     """
     free = _real(free_mask, "free_mask", (3,)) != 0.0
     fixed_vals = _real(fixed_values, "pinned values", (np.count_nonzero(~free),))
-    return _project_polytope(_real(eta, "eta", (3,)), tuple(free.tolist()), fixed_vals)
+    return _project_polytope(_real(eta, "eta", (3,)), tuple(free.tolist()),
+                             np.concatenate((fixed_vals, _FACE_RHS)))
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class SWDecomposition:
     cp2: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return self.p * self.cp1 + (1.0 - self.p) * compose(self.cp2, TRANSPOSE_ETA)
+        return self.p * self.cp1 + (1.0 - self.p) * (self.cp2 * TRANSPOSE_ETA)
 
 
 def sw_decompose(eta) -> SWDecomposition:
@@ -184,20 +188,20 @@ def sw_decompose(eta) -> SWDecomposition:
     max|eta_k|. Raises OutsideCube past that.
     """
     eta = _real(eta, "eta", (3,))
-    radius = abs(eta).max()
+    radius = max(map(abs, eta.tolist()))
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
-    slack = FACE_NORMALS @ eta - 1.0
-    if (slack <= FACE_TOL).all():
+    slack = (FACE_NORMALS @ eta - 1.0).tolist()
+    if max(slack) <= FACE_TOL:
         return SWDecomposition(1.0, eta.copy(), TRANSPOSE_ETA.copy(), VERTICES[0].copy())
     if radius > 1.0:  # slack[k] becomes (slack[k] + 1 - radius) / radius > 0
         eta = eta / radius
-        slack = FACE_NORMALS @ eta - 1.0
-    k = int(slack.argmax())  # the single violated face
+        slack = (FACE_NORMALS @ eta - 1.0).tolist()
+    k = slack.index(max(slack))  # the single violated face
     corner = NONCP_CORNERS[k]
     # eta = (1 - p) corner + p cp1, n_k . cp1 = 1, n_k . corner = 3; d is exact near the corner
     d = eta - corner
     p = -(FACE_NORMALS[k] @ d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
     cp1 = corner + d / p if p > 0.0 else corner / 3.0  # eta == corner: centroid of the face
-    cp2 = compose(corner, TRANSPOSE_ETA)  # transpose is an involution
+    cp2 = corner * TRANSPOSE_ETA  # compose(corner, transpose); transpose is an involution
     return SWDecomposition(float(p), cp1, corner, cp2)

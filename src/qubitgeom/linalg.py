@@ -3,10 +3,13 @@
 Everything here operates on plain numpy arrays: complex square matrices of
 dimension 2, 4 or 8, and real 3x3 matrices. All functions are pure.
 
-The frozen value types validate in __post_init__, through _freeze. _trusted
-builds one without that check, and only a producer whose arrays are valid by
-construction may use it (from_eta, a channel's cached canonical form,
-pauli_weights, compile_channel); outside input goes through the constructors.
+Validate once, at the public boundary. A public function checks what its caller
+passes (with _real, require_hermitian or a value type's __post_init__) and hands
+it to an unchecked private kernel, the one source of its formula. Arrays the
+program built, and the read-only arrays of value types, go straight to kernels;
+a default tolerance is not converted. _trusted builds a value type without its
+__post_init__, only from arrays valid by construction (from_eta, the cached
+canonical form, pauli_weights, compile_channel, trajectory).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ ORTHO_TOL = 1e-10  # orthogonality of rotations, the Bloch ball
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -137,4 +140,8 @@ def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int = 4) -> np.ndarray:
     rho = require_hermitian(rho)
     if rho.shape != (2 * dim, 2 * dim):
         raise BadDimension(f"expected dim {2 * dim}, got shape {rho.shape}")
+    return _trace_ancilla(rho, dim)
+
+
+def _trace_ancilla(rho: np.ndarray, dim: int) -> np.ndarray:  # rho: (2 dim) x (2 dim)
     return np.einsum("iaja->ij", rho.reshape(2, dim, 2, dim))

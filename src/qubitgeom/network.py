@@ -25,7 +25,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry
 from .errors import BadDimension, NotCP, NotUnital, QubitGeomError, WeightsNotNormalized
-from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
+from .linalg import FACE_TOL, ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,11 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
     delta, u1, u2 = ch._factors
-    mix = geometry.pauli_weights(delta)
-    if mix.signed:
-        raise NotCP(f"channel is not CP (Choi min eigenvalue {mix.p.min():.3e})")
-    weights = np.maximum(mix.p, 0.0)
+    p = geometry._weights(delta)
+    min_p = min(p.tolist())
+    if -4.0 * min_p > FACE_TOL:  # PauliMixture.signed
+        raise NotCP(f"channel is not CP (Choi min eigenvalue {min_p:.3e})")
+    weights = np.maximum(p, 0.0)
     return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / weights.sum())
 
 

@@ -68,14 +68,17 @@ class AttackReport:
 def overlap(protocol: Protocol | str, eta) -> float:
     """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
     Raises SymmetryViolation unless eta has the protocol's symmetry."""
-    eta = _real(eta, "eta", (3,))
-    if _protocol(protocol) is Protocol.FOUR_STATE:
-        if abs(eta[0] - eta[2]) > FACE_TOL:
-            raise SymmetryViolation("four-state attacks need eta_x = eta_z")
-        return (float(eta[0]) + float(eta[1])) / 2.0
-    if abs(eta[0] - eta[1]) > FACE_TOL or abs(eta[1] - eta[2]) > FACE_TOL:
+    x, y, z = _real(eta, "eta", (3,)).tolist()
+    protocol = _protocol(protocol)
+    if protocol is Protocol.FOUR_STATE and abs(x - z) > FACE_TOL:
+        raise SymmetryViolation("four-state attacks need eta_x = eta_z")
+    if protocol is Protocol.SIX_STATE and (abs(x - y) > FACE_TOL or abs(y - z) > FACE_TOL):
         raise SymmetryViolation("six-state attacks need eta_x = eta_y = eta_z")
-    return float(eta[0])
+    return _overlap(protocol, x, y)
+
+
+def _overlap(protocol: Protocol, x: float, y: float) -> float:  # of eta = (x, y, x)
+    return (x + y) / 2.0 if protocol is Protocol.FOUR_STATE else x
 
 
 def success_probability(protocol: Protocol | str, eta) -> float:
@@ -83,8 +86,11 @@ def success_probability(protocol: Protocol | str, eta) -> float:
     protocol, eta = _protocol(protocol), _real(eta, "eta", (3,))
     if not geometry.in_D(eta):
         raise NotCP(f"attack channel {eta} is not CP")
-    ov = overlap(protocol, eta)
-    F = (1.0 + float(eta[0])) / 2.0
+    return _p_c(overlap(protocol, eta), float(eta[0]))
+
+
+def _p_c(ov: float, eta_x: float) -> float:  # at fidelity F = (1 + eta_x) / 2
+    F = (1.0 + eta_x) / 2.0
     return 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
 
 
@@ -99,14 +105,13 @@ def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     protocol, d_max = _protocol(protocol), float(_real(d_max, "d_max", ()))
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
-    eta_min = 1.0 - 2.0 * d_max
+    eta_min = eta_y = 1.0 - 2.0 * d_max
     if protocol is Protocol.FOUR_STATE:
         eta_y = max(2.0 * eta_min - 1.0, -eta_min) + 0.0  # + 0.0: no -0 at d_max = 1/2
-        eta = np.array([eta_min, eta_y, eta_min])
-    else:
-        eta = np.array([eta_min, eta_min, eta_min])
-    p_c = success_probability(protocol, eta)
-    return AttackReport(protocol, eta, d_max, 1.0 - d_max, overlap(protocol, eta), float(p_c))
+    # (eta_min, eta_y, eta_min) is symmetric and in D by construction
+    ov = _overlap(protocol, eta_min, eta_y)
+    return AttackReport(protocol, np.array([eta_min, eta_y, eta_min]), d_max, 1.0 - d_max, ov,
+                        float(_p_c(ov, eta_min)))
 
 
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
@@ -119,7 +124,7 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     mix = geometry.pauli_weights(eta)
     if mix.signed:
         raise NotCP(f"eta {eta} is not CP")
-    kraus = np.sqrt(np.clip(mix.p, 0.0, None))[:, None, None] * np.array(PAULIS)
+    kraus = np.sqrt(np.clip(mix.p, 0.0, None))[:, None, None] * PAULIS
     E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
     F = float(np.real(E00.conj() @ E00))
     D = float(np.real(E01.conj() @ E01))

@@ -6,12 +6,13 @@ digit decimals, so this walks the structure itself. Complex numbers render
 as [re, im] pairs.
 
 _csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
-exponent k is exact from the least doubles >= 10**k, Dekker's error-free product
-gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer above 2**53,
-so p + rint(e) is the significand rounded half to even. Its digit d and four
-groups of four fill a row of table words: the sign, "0." and zeros (k < 0) or a
-dot (k >= 0) with d; the groups, trailing zeros as pads; a separator. Rows with
-k > 0 move k digits over the dot, and one pass deletes the pads of all rows.
+exponent k is floor(log10 |v|) made exact against the least doubles >= 10**k,
+Dekker's error-free product gives |v| * 10**(16 - k) = p + e exactly, and p is
+an even integer above 2**53, so p + rint(e) is the significand rounded half to
+even. Its digit d and four groups of four fill a row of table words: the sign,
+"0." and zeros (k < 0) or a dot (k >= 0) with d; the groups, trailing zeros as
+pads; a separator. Rows with k > 0 move k digits over the dot, and one pass
+deletes the pads of all rows.
 Other values (zero, subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take "%.17g".
 """
 
@@ -50,7 +51,7 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halv
 _POW10 = np.array([float(10**m) for m in range(21)])  # exact: 5**20 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_DECADES = np.array([float(f"1e{k}") for k in range(-3, 16)])  # least doubles >= 10**k
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)] + [np.inf])  # 10**k rounded up
 _W = 28  # a row: sign, "0." and zeros in bytes 0..6, 17 digits in 7..23, separator at 24
 _PAD = ord(" ")  # around each field in its row, as "%-24.17g" pads too
 _CHUNK = 1 << 16  # values rendered at a time, so that temporaries stay under 10 MB
@@ -86,7 +87,9 @@ def _fields(v: np.ndarray, ncols: int) -> bytes:
     a = np.abs(v)
     slow = ~((a >= 1e-4) & (a < 1e16))
     a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
-    k = np.searchsorted(_DECADES, a, side="right") - 4
+    k = np.floor(np.log10(a)).astype(np.int64)  # off by at most one either way
+    k += a >= _DECADES[k + 5]
+    k -= a < _DECADES[k + 4]
     sig = _significand(a, 16 - k)
     out = np.empty((len(v), _W), np.uint8)
     words = out.view(np.uint32)

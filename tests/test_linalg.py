@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
 import qubitgeom as qg
 from qubitgeom import linalg
-from qubitgeom.errors import BadDimension, NonFiniteInput, NonHermitianInput
+from qubitgeom.errors import BadDimension, NonFiniteInput, NonHermitianInput, NotCP
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_rotation
 
 
 def charpoly_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -200,3 +202,67 @@ def test_partial_trace_takes_any_integer_ancilla_dim():
     rho = np.eye(6) / 6
     assert np.allclose(linalg.partial_trace_ancilla(rho, np.int64(3)), np.eye(2) / 2)
     assert np.allclose(linalg.partial_trace_ancilla(np.eye(2) / 2, 1), np.eye(2) / 2)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """(check name, checked value) of every _real and require_hermitian call,
+    spied on in each module namespace that looks the name up."""
+    seen = []
+    for name in ("_real", "require_hermitian"):
+        original = getattr(linalg, name)
+
+        def spy(x, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, x))
+            return _original(x, *args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "qubitgeom"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def checked_by(checks, fn, *args):
+    """fn(*args) (None if it raises NotCP) and the values it checked."""
+    checks.clear()
+    try:
+        result = fn(*args)
+    except NotCP:
+        result = None
+    return result, [x for _, x in checks]
+
+
+def same(values, expected):
+    return len(values) == len(expected) and all(v is e for v, e in zip(values, expected))
+
+
+@pytest.mark.parametrize("delta", [(0.4, 0.3, 0.2), (0.9, 0.8, -0.7)], ids=["cp", "not-cp"])
+def test_channel_path_checks_only_what_it_is_passed(delta, rng, checks):
+    """Validate once: a public call checks its own arguments, and nothing the
+    program built (the frozen A, the canonical delta, a default tol, the
+    constants of compose)."""
+    A = random_rotation(rng) @ np.diag(delta) @ random_rotation(rng)
+    ch, rho, tol = qg.AffineChannel(A, np.zeros(3)), qg.bloch_to_density([0.0, 0.6, 0.8]), 1e-6
+    assert same(checked_by(checks, qg.is_cp, ch)[1], [])
+    assert same(checked_by(checks, qg.is_cp, ch, tol)[1], [tol])
+    assert same(checked_by(checks, qg.is_positive_unital, ch)[1], [])
+    form, seen = checked_by(checks, qg.canonical_form, ch)
+    assert same(seen, [])
+    spec, seen = checked_by(checks, qg.compile_channel, ch)
+    assert same(seen, []) and (spec is None) == (delta[2] < 0)
+    if spec is not None:
+        assert same(checked_by(checks, qg.run_exact, spec, rho)[1], [rho])
+    assert same(checked_by(checks, qg.project_to_D, form.delta)[1], [form.delta])
+    split, seen = checked_by(checks, qg.sw_decompose, form.delta)
+    assert same(seen, [form.delta]) and (split.p < 1.0) == (spec is None)
+
+
+def test_dynamics_and_qkd_check_only_what_they_are_passed(checks):
+    spec = qg.CouplingSpec.from_alpha2([0.2, 0.3, 0.5])  # its eigendecomposition is not cached yet
+    rho0, t, grid, d_max = qg.bloch_to_density([0.0, 0.6, 0.8]), 1.0, np.linspace(0, 3, 7), 0.25
+    checked_by(checks, qg.simulate_reduced, spec, t, rho0)
+    assert [name for name, x in checks if x is rho0] == ["require_hermitian"]  # one rho0 check
+    assert same([x for _, x in checks], [t, rho0])  # nothing on H or the 8x8 evolved state
+    assert same(checked_by(checks, qg.trajectory, spec, grid)[1], [grid])
+    for protocol in qg.Protocol:
+        assert same(checked_by(checks, qg.optimal_attack, protocol, d_max)[1], [d_max])
