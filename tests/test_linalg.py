@@ -252,6 +252,7 @@ def test_channel_path_checks_only_what_it_is_passed(delta, rng, checks):
     assert same(seen, []) and (spec is None) == (delta[2] < 0)
     if spec is not None:
         assert same(checked_by(checks, qg.run_exact, spec, rho)[1], [rho])
+    assert same(checked_by(checks, qg.in_D, form.delta)[1], [form.delta])
     assert same(checked_by(checks, qg.project_to_D, form.delta)[1], [form.delta])
     split, seen = checked_by(checks, qg.sw_decompose, form.delta)
     assert same(seen, [form.delta]) and (split.p < 1.0) == (spec is None)
