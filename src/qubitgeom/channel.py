@@ -202,14 +202,15 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
     maps (transpose, universal_not, pancake), and depolarize(p)."""
     if not (isinstance(name, str) and (name in _CATALOG or name == "depolarize")):
         raise UnknownName(f"unknown channel name {name!r}")
-    if name != "depolarize":
-        return AffineChannel.from_eta(_CATALOG[name])
-    if p is None:
-        raise UnknownName("depolarize requires a probability parameter")
-    p = float(_real(p, "depolarize probability", ()))
-    if not 0.0 <= p <= 1.0:
-        raise UnknownName(f"depolarize probability {p} outside [0, 1]")
-    return AffineChannel.from_eta((1.0 - p, 1.0 - p, 1.0 - p))
+    eta = _CATALOG.get(name)
+    if eta is None:  # depolarize
+        if p is None:
+            raise UnknownName("depolarize requires a probability parameter")
+        p = float(_real(p, "depolarize probability", ()))
+        if not 0.0 <= p <= 1.0:
+            raise UnknownName(f"depolarize probability {p} outside [0, 1]")
+        eta = (1.0 - p, 1.0 - p, 1.0 - p)
+    return _trusted(AffineChannel, A=np.diag(eta), b=np.zeros(3))  # from_eta without its check
 
 
 def channel_from_json(obj) -> AffineChannel:

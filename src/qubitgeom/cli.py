@@ -12,6 +12,7 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -217,14 +218,12 @@ def main(argv=None) -> int:
         sys.stderr.write(serialize.dumps(err) + "\n")
         bad_input = (_ArgumentError, QubitGeomError, OSError, json.JSONDecodeError)
         return 2 if isinstance(exc, bad_input) else 1  # else an internal fault
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        sys.stdout.write(serialize.dumps(result) + "\n")
+    sys.stdout.write(result if isinstance(result, str) else serialize.dumps(result) + "\n")
     return 0
 
 
 def entry():
+    gc.freeze()  # the imports' objects live to exit: no collection, the exit's included, walks them
     raise SystemExit(main())
 
 

@@ -87,10 +87,10 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
         raise NotCP(f"target {target} is not a CP diagonal channel")
     s2 = 1.0 - mix.p[0]
     if s2 <= 1e-15:
-        return CouplingSpec(np.array([1.0, 0.0, 0.0])), 0.0
+        return _trusted(CouplingSpec, alpha=[1.0, 0.0, 0.0]), 0.0
     alpha2 = np.clip(mix.p[1:], 0.0, None)
     t = float(np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0))))
-    return CouplingSpec.from_alpha2(alpha2 / np.sum(alpha2)), t
+    return _trusted(CouplingSpec, alpha=np.sqrt(alpha2 / np.sum(alpha2))), t
 
 
 def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:

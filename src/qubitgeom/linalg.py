@@ -8,8 +8,8 @@ passes (with _real, require_hermitian or a value type's __post_init__) and hands
 it to an unchecked private kernel, the one source of its formula. Arrays the
 program built, and the read-only arrays of value types, go straight to kernels;
 a default tolerance is not converted. _trusted builds a value type without its
-__post_init__, only from arrays valid by construction (from_eta, the cached
-canonical form, pauli_weights, compile_channel, trajectory).
+__post_init__, only from arrays valid by construction (from_eta, catalog, the
+cached canonical form, pauli_weights, compile_channel, design_coupling, trajectory).
 """
 
 from __future__ import annotations

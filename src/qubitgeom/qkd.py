@@ -68,25 +68,24 @@ class AttackReport:
 def overlap(protocol: Protocol | str, eta) -> float:
     """Probe overlap <E00|E11>: (eta + eta_y)/2 four-state, eta six-state.
     Raises SymmetryViolation unless eta has the protocol's symmetry."""
-    x, y, z = _real(eta, "eta", (3,)).tolist()
-    protocol = _protocol(protocol)
+    return _overlap(_protocol(protocol), _real(eta, "eta", (3,)))
+
+
+def _overlap(protocol: Protocol, eta: np.ndarray) -> float:  # eta: 3 finite floats
+    x, y, z = eta.tolist()
     if protocol is Protocol.FOUR_STATE and abs(x - z) > FACE_TOL:
         raise SymmetryViolation("four-state attacks need eta_x = eta_z")
     if protocol is Protocol.SIX_STATE and (abs(x - y) > FACE_TOL or abs(y - z) > FACE_TOL):
         raise SymmetryViolation("six-state attacks need eta_x = eta_y = eta_z")
-    return _overlap(protocol, x, y)
-
-
-def _overlap(protocol: Protocol, x: float, y: float) -> float:  # of eta = (x, y, x)
     return (x + y) / 2.0 if protocol is Protocol.FOUR_STATE else x
 
 
 def success_probability(protocol: Protocol | str, eta) -> float:
     """Eve's optimal guessing probability on matched, agreeing bits."""
     protocol, eta = _protocol(protocol), _real(eta, "eta", (3,))
-    if not geometry.in_D(eta):
+    if -4.0 * min(geometry._weights(eta).tolist()) > FACE_TOL:  # not in_D(eta)
         raise NotCP(f"attack channel {eta} is not CP")
-    return _p_c(overlap(protocol, eta), float(eta[0]))
+    return _p_c(_overlap(protocol, eta), float(eta[0]))
 
 
 def _p_c(ov: float, eta_x: float) -> float:  # at fidelity F = (1 + eta_x) / 2
@@ -108,10 +107,9 @@ def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     eta_min = eta_y = 1.0 - 2.0 * d_max
     if protocol is Protocol.FOUR_STATE:
         eta_y = max(2.0 * eta_min - 1.0, -eta_min) + 0.0  # + 0.0: no -0 at d_max = 1/2
-    # (eta_min, eta_y, eta_min) is symmetric and in D by construction
-    ov = _overlap(protocol, eta_min, eta_y)
-    return AttackReport(protocol, np.array([eta_min, eta_y, eta_min]), d_max, 1.0 - d_max, ov,
-                        float(_p_c(ov, eta_min)))
+    eta = np.array([eta_min, eta_y, eta_min])  # symmetric and in D by construction
+    ov = _overlap(protocol, eta)
+    return AttackReport(protocol, eta, d_max, 1.0 - d_max, ov, float(_p_c(ov, eta_min)))
 
 
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:

@@ -85,7 +85,7 @@ def _fields(v: np.ndarray, ncols: int) -> bytes:
     """The ".17g" fields of v, a newline after every ncols-th and a comma after the others."""
     quads, heads = _tables()
     a = np.abs(v)
-    slow = ~((a >= 1e-4) & (a < 1e16))
+    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))  # each fix-up indexes only its rows
     a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
     k = np.floor(np.log10(a)).astype(np.int64)  # off by at most one either way
     k += a >= _DECADES[k + 5]
@@ -104,9 +104,9 @@ def _fields(v: np.ndarray, ncols: int) -> bytes:
     words[:, 0], words[:, 1] = heads[0].take(head), heads[1].take(head)
     words[:, 6] = np.frombuffer(b",   ", np.uint32)
     out[ncols - 1::ncols, -4] = ord("\n")
-    out[(k == 0) & (tail > 0), 7] = _PAD  # a whole number has no dot
-    for e in np.flatnonzero(np.bincount(k + 4)[5:]) + 1:  # k = e > 0: digits 1..e move
-        rows = np.flatnonzero(k == e)  # left over the dot, their pads back to zeros
+    out[np.flatnonzero((k == 0) & (tail > 0)), 7] = _PAD  # a whole number has no dot
+    for e in range(1, k.max() + 1):  # rows with k = e > 0: digits 1..e move left over the
+        rows = np.flatnonzero(k == e)  # dot, their pads back to zeros
         digits = out[rows, 8:8 + e]
         out[rows, 7:7 + e] = np.where(digits == _PAD, ord("0"), digits)
         out[rows, 7 + e] = np.where(out[rows, 8 + e] == _PAD, _PAD, ord("."))

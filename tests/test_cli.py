@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -339,3 +340,41 @@ def test_bad_matrix_shape_exit_code(tmp_path):
     proc = run_cli("check", "--in", str(f), check=False)
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["error"] == "BadDimension"
+
+
+@pytest.fixture
+def events(monkeypatch):
+    """Each gc.freeze call, recorded in place of freezing the test process."""
+    seen = []
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append("freeze"))
+    return seen
+
+
+def test_entry_freezes_once_before_main(events, monkeypatch, capsys):
+    main = cli.main
+    monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or main(argv))
+    monkeypatch.setattr(sys, "argv", ["qubitgeom", "check", "--eta", "-1", "-1", "-1"])
+    with pytest.raises(SystemExit) as done:
+        cli.entry()
+    assert done.value.code == 0 and events == ["freeze", "main"]
+    assert capsys.readouterr().out == (GOLDEN_DIR / "check_universal_not.json").read_text()
+
+
+def test_main_never_freezes(events, capsys):
+    assert cli.main(["check", "--eta", "-1", "-1", "-1"]) == 0
+    assert cli.main(["check", "--eta", "2", "0", "0", "--catalog", "pancake"]) == 2
+    assert events == []
+
+
+def test_frozen_process_loses_nothing_at_exit(capsys):
+    """python -m qubitgeom.cli runs entry(): its output equals main()'s in process."""
+    argv = ["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--steps", "20000"]
+    assert cli.main(argv) == 0
+    proc = run_cli(*argv)
+    assert proc.stdout.decode() == capsys.readouterr().out and proc.stderr == b""
+    assert proc.stdout.count(b"\n") == 20002
+    proc = run_cli("dynamics", "--alpha2", "0.2", "0.3", "0.5", "--steps", "0", check=False)
+    assert proc.returncode == 2 and proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}

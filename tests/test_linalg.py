@@ -267,3 +267,12 @@ def test_dynamics_and_qkd_check_only_what_they_are_passed(checks):
     assert same(checked_by(checks, qg.trajectory, spec, grid)[1], [grid])
     for protocol in qg.Protocol:
         assert same(checked_by(checks, qg.optimal_attack, protocol, d_max)[1], [d_max])
+        for eta in ([0.6, 0.6, 0.6], [-0.6, -0.6, -0.6]):  # in D, and not
+            p_c, seen = checked_by(checks, qg.success_probability, protocol, eta)
+            assert same(seen, [eta]) and (p_c is None) == (eta[0] < 0)
+    for target in ([0.2, -0.1, 0.05], [1.0, 1.0, 1.0], [-0.6, -0.6, -0.6]):  # the last not CP
+        result, seen = checked_by(checks, qg.design_coupling, target)
+        assert same(seen, [target]) and (result is None) == (target[0] < 0)
+    assert same(checked_by(checks, qg.catalog, "pancake")[1], [])
+    p = 0.25
+    assert same(checked_by(checks, qg.catalog, "depolarize", p)[1], [p])
