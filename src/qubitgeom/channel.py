@@ -134,18 +134,12 @@ def choi(ch: AffineChannel) -> np.ndarray:
 
 
 def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]:
-    """Complete-positivity test via the Choi spectrum.
-
-    Returns (flag, min_eigenvalue), flag True iff -4 * min_eigenvalue <= tol
-    (FACE_TOL, 1e-9, as in in_D). A unital channel's Choi eigenvalues are the
-    Pauli weights (1 - n . delta) / 4 of its canonical delta and are read from
-    there, so -4 * min_eigenvalue is a face slack of D and on a diagonal map the
-    flag is in_D to the bit. A non-unital channel's Choi matrix is diagonalised.
-    """
+    """Complete-positivity test via the Choi spectrum: (flag, min_eigenvalue), flag
+    True iff the spectrum's face slack geometry._slack, -4 * min_eigenvalue, is at
+    most tol (FACE_TOL, 1e-9). On a diagonal map the flag is in_D's to the bit."""
     tol = tol if tol is linalg.FACE_TOL else float(_real(tol, "tol", ()))
     w = geometry._weights(ch._factors[0]) if ch.is_unital else np.linalg.eigh(choi(ch))[0]
-    min_eig = min(w.tolist())
-    return -4.0 * min_eig <= tol, min_eig
+    return geometry._slack(w) <= tol, min(w.tolist())
 
 
 def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:

@@ -44,19 +44,16 @@ TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 
 def in_D(eta, tol: float = FACE_TOL) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
-    is iff every face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
+    is iff its largest face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
     tol = tol if tol is FACE_TOL else float(_real(tol, "tol", ()))
-    return bool((FACE_NORMALS @ _real(eta, "eta", (3,)) - 1.0 <= tol).all())
+    return _slack(_weights(_real(eta, "eta", (3,)))) <= tol
 
 
 @dataclass(frozen=True)
 class PauliMixture:
-    """Weights (p_I, p_x, p_y, p_z) over the four tetrahedron vertices.
-
-    Weights always sum to 1; they are all nonnegative exactly when the
-    corresponding eta lies in D. Negative entries are allowed and flagged
-    through `signed` so that positive-but-not-CP maps keep an (affine)
-    decomposition.
+    """Weights (p_I, p_x, p_y, p_z) over the four tetrahedron vertices, of unit
+    sum for mixture_to_eta. A negative weight, flagged by `signed`, keeps the
+    affine decomposition of a positive-but-not-CP map.
     """
 
     p: np.ndarray
@@ -66,8 +63,8 @@ class PauliMixture:
 
     @property
     def signed(self) -> bool:
-        """True iff some face slack -4 p_k exceeds FACE_TOL (1e-9), as in in_D."""
-        return bool((-4.0 * self.p).max() > FACE_TOL)
+        """True iff the largest face slack exceeds FACE_TOL (1e-9)."""
+        return _slack(self.p) > FACE_TOL
 
 
 def pauli_weights(eta) -> PauliMixture:
@@ -77,6 +74,11 @@ def pauli_weights(eta) -> PauliMixture:
 
 def _weights(eta: np.ndarray) -> np.ndarray:  # eta: a float array of shape (3,)
     return (1.0 - FACE_NORMALS @ eta) / 4.0
+
+
+def _slack(p: np.ndarray) -> float:  # p: the weights of eta, or 4 Choi eigenvalues
+    """Largest face slack n_k . eta - 1 = -4 p_k; eta is in D iff it is <= tol."""
+    return -4.0 * min(p.tolist())
 
 
 def mixture_to_eta(p) -> np.ndarray:
@@ -191,13 +193,13 @@ def sw_decompose(eta) -> SWDecomposition:
     radius = max(map(abs, eta.tolist()))
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
-    slack = (FACE_NORMALS @ eta - 1.0).tolist()
-    if max(slack) <= FACE_TOL:
+    w = _weights(eta)
+    if _slack(w) <= FACE_TOL:
         return SWDecomposition(1.0, eta.copy(), TRANSPOSE_ETA.copy(), VERTICES[0].copy())
-    if radius > 1.0:  # slack[k] becomes (slack[k] + 1 - radius) / radius > 0
+    if radius > 1.0:  # the violated face's slack s becomes (s + 1 - radius) / radius > 0
         eta = eta / radius
-        slack = (FACE_NORMALS @ eta - 1.0).tolist()
-    k = slack.index(max(slack))  # the single violated face
+        w = _weights(eta)
+    k = w.argmin()  # the single violated face: the first least weight
     corner = NONCP_CORNERS[k]
     # eta = (1 - p) corner + p cp1, n_k . cp1 = 1, n_k . corner = 3; d is exact near the corner
     d = eta - corner

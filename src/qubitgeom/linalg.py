@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError
 
-# Tolerances. A face slack, n . eta - 1 for a face normal n of the CP
-# tetrahedron D or |eta_k| - 1 for the cube [-1, 1]^3, is -4 times a Pauli
-# weight or Choi eigenvalue of the diagonal map and exact near a face; every
-# verdict on D or the cube accepts slack up to FACE_TOL (eta units), so all agree.
+# Tolerances. Every verdict on the CP tetrahedron D reads geometry._slack, its
+# largest face slack n . eta - 1; one on the cube [-1, 1]^3 reads |eta_k| - 1 or
+# sigma_max - 1. Each accepts slack up to FACE_TOL (eta units), so all agree.
 FACE_TOL = 1e-9
 ROUND_TOL = 1e-12  # unit sums, unitality, diagonality, Hermiticity
 ORTHO_TOL = 1e-10  # orthogonality of rotations, the Bloch ball

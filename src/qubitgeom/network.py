@@ -61,19 +61,18 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     """Compile a unital CP channel into the rotation/mixture/rotation form.
 
     A diagonal channel compiles without rotations; any other is factored as
-    A = Q diag(delta) Q^T R, once per channel, as is_cp reads it. The channel
-    is CP exactly when delta lies in D, and the Pauli weights of delta are then
-    its Choi eigenvalues, so NotCP reports the smallest weight. No sign flip
-    can rescue a delta outside D: flipping two signs of delta permutes the face
-    normals of D, so the flipped delta has the same face slacks.
+    A = Q diag(delta) Q^T R, once per channel, as is_cp reads it. The Pauli
+    weights of delta are its Choi eigenvalues; NotCP reports the smallest. No
+    sign flip can rescue a delta outside D: flipping two signs of delta permutes
+    the face normals of D, so the flipped delta has the same face slacks.
     """
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
     delta, u1, u2 = ch._factors
     p = geometry._weights(delta)
-    min_p = min(p.tolist())
-    if -4.0 * min_p > FACE_TOL:  # PauliMixture.signed
-        raise NotCP(f"channel is not CP (Choi min eigenvalue {min_p:.3e})")
+    slack = geometry._slack(p)
+    if slack > FACE_TOL:
+        raise NotCP(f"channel is not CP (Choi min eigenvalue {-slack / 4.0:.3e})")
     weights = np.maximum(p, 0.0)
     return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / weights.sum())
 

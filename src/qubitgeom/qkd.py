@@ -15,7 +15,7 @@ so Eve pushes eta_y down to the tetrahedron boundary eta_y = 2 eta_min - 1
 while eta_min >= 1/3 (disturbance at most 1/3); below that the boundary
 passes eta_y = -eta_min, where the overlap vanishes and p_c = 1. For the
 six-state protocol overlap = eta and no freedom remains. Disturbances up to
-1/2 (nonnegative eta_min) are supported.
+1/2 (nonnegative eta_min) are supported; success_probability rejects F <= 0.
 
 probe_overlaps_dilation recomputes D, F and the overlap from an explicit
 four-dimensional probe dilation with Kraus pieces sqrt(p_k) sigma_k; it and
@@ -81,15 +81,20 @@ def _overlap(protocol: Protocol, eta: np.ndarray) -> float:  # eta: 3 finite flo
 
 
 def success_probability(protocol: Protocol | str, eta) -> float:
-    """Eve's optimal guessing probability on matched, agreeing bits."""
+    """Eve's optimal guessing probability on matched, agreeing bits. Raises NotCP
+    outside D, SymmetryViolation off the protocol's symmetry, DisturbanceOutOfRange
+    at F = (1 + eta_x) / 2 <= 0, where p_c is 0/0 or above 1: only at the four-state
+    vertex R_y (D = 1) and within FACE_TOL past it. Other D above 1/2 get a value."""
     protocol, eta = _protocol(protocol), _real(eta, "eta", (3,))
-    if -4.0 * min(geometry._weights(eta).tolist()) > FACE_TOL:  # not in_D(eta)
+    if geometry._slack(geometry._weights(eta)) > FACE_TOL:
         raise NotCP(f"attack channel {eta} is not CP")
     return _p_c(_overlap(protocol, eta), float(eta[0]))
 
 
 def _p_c(ov: float, eta_x: float) -> float:  # at fidelity F = (1 + eta_x) / 2
     F = (1.0 + eta_x) / 2.0
+    if F <= 0.0:
+        raise DisturbanceOutOfRange(f"fidelity {F} <= 0 leaves p_c undefined")
     return 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
 
 

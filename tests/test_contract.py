@@ -8,11 +8,17 @@ numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, wrong
 shapes, complex values and negative or huge integers, and so does a protocol,
 which takes a Protocol or its value; an argument that takes a library object
 (a channel, a spec, a network) keeps a valid one.
+
+A sweep over the valid extremes (the vertices, corners, edges and faces of D
+and the attack budgets 0, 1/3 and 1/2) holds each call to the same contract,
+with any warning a failure.
 """
 
 import contextlib
 import dataclasses
 import io
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import qubitgeom as qg
-from qubitgeom import cli
+from qubitgeom import cli, geometry
 from qubitgeom.errors import (BadDimension, DisturbanceOutOfRange, NonFiniteInput, QubitGeomError,
                               UnphysicalBloch, WeightsNotNormalized)
 
@@ -196,10 +202,87 @@ def test_every_special_value_in_every_slot(slot):
                  id="CouplingSpec-alpha-sum"),
     pytest.param(lambda: qg.CouplingSpec.from_alpha2([0.5, 0.6, -0.1]), WeightsNotNormalized,
                  id="from_alpha2-negative"),
+    pytest.param(lambda: qg.success_probability(FOUR, [-1, 1, -1]), DisturbanceOutOfRange,
+                 id="success_probability-R_y"),
 ])
 def test_named_leaks_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+# Valid extreme inputs: the vertices and non-CP corners of D, the edge midpoints
+# and face centroids, and the named points. Each goes through every public
+# callable that takes an eta or a channel, as a diagonal and as a rotated channel.
+_V = geometry.VERTICES
+BOUNDARY = {
+    **{f"vertex-{n}": v for n, v in zip("IXYZ", _V)},
+    **{f"corner-{n}": -v for n, v in zip("IXYZ", _V)},
+    **{f"edge-{'IXYZ'[i]}{'IXYZ'[j]}": (_V[i] + _V[j]) / 2
+       for i, j in itertools.combinations(range(4), 2)},
+    **{f"face-{n}": -v / 3 for n, v in zip("IXYZ", _V)},  # the face opposite vertex n
+    "origin": np.zeros(3), "pancake": np.array([1.0, 1.0, 0.0]),
+    "transpose": geometry.TRANSPOSE_ETA, "third": np.full(3, 1 / 3), "minus-third": np.full(3, -1 / 3),
+}
+STATES = [qg.bloch_to_density(s) for s in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 0, 0])]
+ROTATION = np.array([[2.0, -1.0, 2.0], [2.0, 2.0, -1.0], [-1.0, 2.0, 2.0]]) / 3.0  # proper
+
+
+def _valid(fn, *args):
+    """fn(*args), or None if it raises a QubitGeomError; any other exception, any
+    warning or a non-finite result fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = fn(*args)
+        except QubitGeomError:
+            return None
+    assert _finite(result), f"{fn.__name__}{args!r}: non-finite result {result!r}"
+    return result
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_valid_boundary_point(name):
+    eta = BOUNDARY[name]
+    rotated = qg.AffineChannel(ROTATION @ np.diag(eta) @ ROTATION)
+    for ch in (qg.AffineChannel.from_eta(eta), rotated):
+        for fn in (qg.choi, qg.is_cp, qg.is_positive_unital, qg.canonical_form):
+            _valid(fn, ch)
+        _valid(qg.apply, ch, [0.0, 0.0, 1.0])
+        net = _valid(qg.compile_channel, ch)
+        for rho in STATES if net is not None else ():
+            _valid(qg.run_exact, net, rho)
+            _valid(qg.run_sampled, net, rho, 100, 0)
+    for fn in (qg.in_D, qg.project_to_D, qg.sw_decompose, qg.probe_overlaps_dilation,
+               qg.AffineChannel.from_eta):
+        _valid(fn, eta)
+    _valid(qg.channel_from_json, {"eta": eta.tolist()})
+    _valid(qg.mixture_to_eta, _valid(qg.pauli_weights, eta))
+    _valid(qg.compose, eta, eta)
+    for protocol in qg.Protocol:
+        _valid(qg.overlap, protocol, eta)
+        _valid(qg.success_probability, protocol, eta)
+    for pins in itertools.product((None, -1.0, 0.0, 1.0), repeat=3):  # None: a free coordinate
+        free = [v is None for v in pins]
+        _valid(qg.project_constrained, eta, free, [v for v in pins if v is not None])
+    design = _valid(qg.design_coupling, eta)
+    if design is not None:
+        spec, t_star = design
+        times = [0.0, t_star, np.pi / 2, np.pi]
+        _valid(qg.trajectory_to_csv, _valid(qg.trajectory, spec, times))
+        for t in times:
+            _valid(qg.eta_of_t, spec, t)
+            for rho in STATES:
+                _valid(qg.simulate_reduced, spec, t, rho)
+
+
+@pytest.mark.parametrize("d", [0.0, 1 / 3, 0.5])
+@pytest.mark.parametrize("protocol", qg.Protocol)
+def test_valid_attack_budget(protocol, d):
+    report = _valid(qg.optimal_attack, protocol, d)
+    assert report is not None
+    assert _valid(qg.success_probability, protocol, report.eta) == report.p_c
+    for resolution in (0.1, 1e-5):
+        _valid(qg.brute_force_optimum, protocol, d, resolution)
 
 
 def _main(argv) -> int:

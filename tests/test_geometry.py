@@ -39,6 +39,22 @@ def exact_project_oracle(eta):
     return cands[int(np.argmin(d))]
 
 
+def simplex_project_oracle(etas):
+    """Projection onto D of each row of etas through the probability simplex.
+
+    V V^T = 4 I - J for the vertex rows V, so |eta - eta'| = 2 |p - p'| for
+    weights of unit sum, and the nearest point of D is V^T q for q the nearest
+    simplex point to p = (1 - n . eta) / 4. q is a sort, a cumulative sum and a
+    threshold (Held, Wolfe & Crowder 1974; Duchi et al., ICML 2008).
+    """
+    p = (1.0 - etas @ geometry.FACE_NORMALS.T) / 4.0
+    u = -np.sort(-p, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    rho = np.count_nonzero(u - css / np.arange(1, 5) > 0.0, axis=1)  # true on a prefix
+    theta = css[np.arange(len(p)), rho - 1] / rho
+    return np.maximum(p - theta[:, None], 0.0) @ geometry.VERTICES
+
+
 def grid_project_oracle(eta, step=2.5e-4):
     """Brute-force projection: barycentric grids over the four faces,
     coarse pass then local refinement (valid because the squared distance
@@ -214,6 +230,16 @@ def test_exact_oracle_matches_projection(rng):
     for y in list(rng.uniform(-1.5, 1.5, (500, 3))) + _exterior_points_near_boundary(rng):
         if not qg.in_D(y):
             assert np.linalg.norm(qg.project_to_D(y) - exact_project_oracle(y)) < 1e-12
+
+
+def test_simplex_oracle_matches_projection():
+    V = geometry.VERTICES
+    assert np.array_equal(V @ V.T, 4.0 * np.eye(4) - 1.0)
+    rng = np.random.default_rng(1016)
+    etas = np.concatenate([rng.uniform(-1.5, 1.5, (8000, 3)), rng.uniform(-1.0, 1.0, (8000, 3)),
+                           rng.uniform(-1.5, 1.5, (4000, 1)) * V[rng.integers(0, 4, 4000)]])
+    got = np.array([qg.project_to_D(eta) for eta in etas])
+    assert np.linalg.norm(got - simplex_project_oracle(etas), axis=1).max() <= 1e-15
 
 
 def test_project_constrained_edge_slice_vs_grid():

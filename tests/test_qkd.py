@@ -65,6 +65,16 @@ def test_success_probability_rejects_non_cp():
         qg.success_probability(SIX, [-1, -1, -1])
 
 
+def test_success_probability_below_fidelity_zero():
+    # in D within FACE_TOL beyond R_y, whose F = 0 test_contract names: F < 0, p_c would exceed 1
+    eta = [-1 - 4e-10, 1 + 2e-10, -1 - 4e-10]
+    assert qg.in_D(eta)
+    with pytest.raises(DisturbanceOutOfRange):
+        qg.success_probability(FOUR, eta)
+    # a disturbance beyond 1/2 at F > 0 still has a value: D = 2/3 here
+    assert abs(qg.success_probability(SIX, [-1 / 3] * 3) - (0.5 + 0.5 * np.sqrt(2 / 3))) < 1e-15
+
+
 def test_optimal_attack_reports():
     r = qg.optimal_attack(FOUR, 0.25)
     assert np.allclose(r.eta, [0.5, 0.0, 0.5])
