@@ -9,9 +9,9 @@ shapes, complex values and negative or huge integers, and so does a protocol,
 which takes a Protocol or its value; an argument that takes a library object
 (a channel, a spec, a network) keeps a valid one.
 
-A sweep over the valid extremes (the vertices, corners, edges and faces of D
-and the attack budgets 0, 1/3 and 1/2) holds each call to the same contract,
-with any warning a failure.
+A sweep over the valid extremes (the vertices, corners, edges and faces of D,
+singular and improper channels, and the attack budgets 0, 1/3 and 1/2) holds
+each call to the same contract, with any warning a failure.
 """
 
 import contextlib
@@ -240,18 +240,33 @@ def _valid(fn, *args):
     return result
 
 
+def _valid_channel(ch):
+    for fn in (qg.choi, qg.is_cp, qg.is_positive_unital, qg.canonical_form):
+        _valid(fn, ch)
+    _valid(qg.apply, ch, [0.0, 0.0, 1.0])
+    net = _valid(qg.compile_channel, ch)
+    for rho in STATES if net is not None else ():
+        _valid(qg.run_exact, net, rho)
+        _valid(qg.run_sampled, net, rho, 100, 0)
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(np.diag([1.0, 0.0, 0.0]), id="rank-1"),
+    pytest.param(ROTATION @ np.diag([1.0, 1.0, 0.0]), id="rank-2-rotated"),
+    pytest.param(-np.eye(3), id="inversion"),
+    pytest.param(np.diag([1.0, 1.0, -1.0]), id="reflection"),
+    pytest.param(ROTATION @ np.diag([0.5, -0.5, 0.0]) @ ROTATION, id="singular-improper-rotated"),
+])
+def test_valid_singular_or_improper_channel(A):
+    _valid_channel(qg.AffineChannel(A))
+
+
 @pytest.mark.parametrize("name", BOUNDARY)
 def test_valid_boundary_point(name):
     eta = BOUNDARY[name]
-    rotated = qg.AffineChannel(ROTATION @ np.diag(eta) @ ROTATION)
-    for ch in (qg.AffineChannel.from_eta(eta), rotated):
-        for fn in (qg.choi, qg.is_cp, qg.is_positive_unital, qg.canonical_form):
-            _valid(fn, ch)
-        _valid(qg.apply, ch, [0.0, 0.0, 1.0])
-        net = _valid(qg.compile_channel, ch)
-        for rho in STATES if net is not None else ():
-            _valid(qg.run_exact, net, rho)
-            _valid(qg.run_sampled, net, rho, 100, 0)
+    _valid_channel(qg.AffineChannel.from_eta(eta))
+    _valid_channel(qg.AffineChannel(ROTATION @ np.diag(eta) @ ROTATION))
     for fn in (qg.in_D, qg.project_to_D, qg.sw_decompose, qg.probe_overlaps_dilation,
                qg.AffineChannel.from_eta):
         _valid(fn, eta)
