@@ -133,22 +133,20 @@ def choi(ch: AffineChannel) -> np.ndarray:
     return (Tt.reshape(16) @ _PAULI_TENSOR).reshape(4, 4)
 
 
-def is_cp(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> tuple[bool, float]:
+def is_cp(ch: AffineChannel) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum: (flag, min_eigenvalue), flag
     True iff the spectrum's face slack geometry._slack, -4 * min_eigenvalue, is at
-    most tol (FACE_TOL, 1e-9). On a diagonal map the flag is in_D's to the bit."""
-    tol = tol if tol is linalg.FACE_TOL else float(_real(tol, "tol", ()))
+    most FACE_TOL (1e-9). On a diagonal map the flag is in_D's to the bit."""
     w = geometry._weights(ch._factors[0]) if ch.is_unital else np.linalg.eigh(choi(ch))[0]
-    return geometry._slack(w) <= tol, min(w.tolist())
+    return geometry._slack(w) <= linalg.FACE_TOL, min(w.tolist())
 
 
-def is_positive_unital(ch: AffineChannel, tol: float = linalg.FACE_TOL) -> bool:
+def is_positive_unital(ch: AffineChannel) -> bool:
     """Positivity test for a unital channel: A must contract the ball, so its
-    largest singular value, delta[0] of the canonical form, is at most 1."""
+    largest singular value, delta[0] of the canonical form, is at most 1 + FACE_TOL."""
     if not ch.is_unital:
         raise NotUnital("positivity test implemented for unital channels only")
-    tol = tol if tol is linalg.FACE_TOL else float(_real(tol, "tol", ()))
-    return bool(ch._canonical.delta[0] - 1.0 <= tol)
+    return bool(ch._canonical.delta[0] - 1.0 <= linalg.FACE_TOL)
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,10 @@ NONCP_CORNERS = -VERTICES
 TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
 
 
-def in_D(eta, tol: float = FACE_TOL) -> bool:
+def in_D(eta) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
-    is iff its largest face slack n . eta - 1 is at most tol (FACE_TOL, 1e-9)."""
-    tol = tol if tol is FACE_TOL else float(_real(tol, "tol", ()))
-    return _slack(_weights(_real(eta, "eta", (3,)))) <= tol
+    is iff its largest face slack n . eta - 1 is at most FACE_TOL (1e-9)."""
+    return _slack(_weights(_real(eta, "eta", (3,)))) <= FACE_TOL
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,11 @@ def pauli_weights(eta) -> PauliMixture:
 
 
 def _weights(eta: np.ndarray) -> np.ndarray:  # eta: a float array of shape (3,)
-    return (1.0 - FACE_NORMALS @ eta) / 4.0
+    return 0.25 - FACE_NORMALS @ (eta / 4.0)  # the same bits, without overflow near 1e308
 
 
 def _slack(p: np.ndarray) -> float:  # p: the weights of eta, or 4 Choi eigenvalues
-    """Largest face slack n_k . eta - 1 = -4 p_k; eta is in D iff it is <= tol."""
+    """Largest face slack n_k . eta - 1 = -4 p_k; eta is in D iff it is <= FACE_TOL."""
     return -4.0 * min(p.tolist())
 
 
@@ -122,8 +121,12 @@ def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarra
 
     Takes the KKT step x_k = y - W_k (G y - r) for every active set k at once;
     the projection onto a nonempty convex polytope is among the candidates that
-    meet their own constraints and lie in D. Raises EmptyIntersection if none does.
+    meet their own constraints and lie in D. Raises EmptyIntersection if none does,
+    and OutsideCube if max|y| > 1e6, where a candidate's rounding error, about
+    eps * |y|, starts to outgrow the absolute FACE_TOL it is checked against.
     """
+    if max(map(abs, y.tolist())) > 1e6:
+        raise OutsideCube(f"eta {y} too far from D to project (max |eta_k| > 1e6)")
     G, W, rows = _steps(free)
     X = y - (W @ (G @ y - r)).reshape(-1, 3)
     resid = X @ G.T - r

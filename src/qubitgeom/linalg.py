@@ -6,15 +6,13 @@ dimension 2, 4 or 8, and real 3x3 matrices. All functions are pure.
 Validate once, at the public boundary. A public function checks what its caller
 passes (with _real, require_hermitian or a value type's __post_init__) and hands
 it to an unchecked private kernel, the one source of its formula. Arrays the
-program built, and the read-only arrays of value types, go straight to kernels;
-a default tolerance is not converted. _trusted builds a value type without its
-__post_init__, only from arrays valid by construction (from_eta, catalog, the
-cached canonical form, pauli_weights, compile_channel, design_coupling, trajectory).
+program built, and the read-only arrays of value types, go straight to kernels.
+_trusted builds a value type without its __post_init__, only from arrays valid by
+construction (from_eta, catalog, the cached canonical form, pauli_weights,
+compile_channel, design_coupling, trajectory).
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -71,7 +69,7 @@ def _trusted(cls, **arrays):
     return obj
 
 
-def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
+def require_hermitian(M: np.ndarray) -> np.ndarray:
     try:
         M = np.asarray(M, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -81,8 +79,8 @@ def require_hermitian(M: np.ndarray, tol: float = ROUND_TOL) -> np.ndarray:
     if np.count_nonzero(np.isfinite(M)) != M.size:  # before M - M^H: inf - inf warns
         raise NonFiniteInput("matrix must be finite")
     dev = np.abs(M - M.conj().T).max()
-    if dev > tol:
-        raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > ROUND_TOL:
+        raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {ROUND_TOL:.1e}")
     return M
 
 
@@ -122,23 +120,17 @@ def _det3(M: np.ndarray) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def partial_trace_ancilla(rho: np.ndarray, ancilla_dim: int = 4) -> np.ndarray:
-    """Trace out the ancilla of a qubit (x) ancilla state, a Hermitian matrix
-    checked as require_hermitian does.
+def partial_trace_ancilla(rho: np.ndarray) -> np.ndarray:
+    """Trace out the ancilla of a qubit (x) ancilla state, a 2d x 2d Hermitian
+    matrix checked as require_hermitian does; d is read from its shape.
 
     Tensor ordering is system (x) ancilla, row-major: index =
-    qubit_index * ancilla_dim + ancilla_index. Raises BadDimension unless
-    ancilla_dim is an integer >= 1.
+    qubit_index * d + ancilla_index. Raises BadDimension if the dimension is odd.
     """
-    try:
-        dim = operator.index(ancilla_dim)
-    except TypeError:
-        dim = 0
-    if dim < 1:
-        raise BadDimension(f"ancilla_dim must be an integer >= 1, got {ancilla_dim!r}")
     rho = require_hermitian(rho)
-    if rho.shape != (2 * dim, 2 * dim):
-        raise BadDimension(f"expected dim {2 * dim}, got shape {rho.shape}")
+    dim, odd = divmod(rho.shape[0], 2)
+    if odd:
+        raise BadDimension(f"expected an even dimension 2d, got shape {rho.shape}")
     return _trace_ancilla(rho, dim)
 
 

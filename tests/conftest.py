@@ -24,6 +24,13 @@ def random_eta_in_D(rng) -> np.ndarray:
     return geometry.VERTICES.T @ p
 
 
+def face_slack(eta) -> float:
+    """Largest face slack max(n . eta) - 1 of D: the number in_D compares with FACE_TOL."""
+    from qubitgeom import geometry
+
+    return float(max(geometry.FACE_NORMALS @ np.asarray(eta, dtype=float))) - 1.0
+
+
 def random_hermitian(rng, dim: int) -> np.ndarray:
     M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (M + M.conj().T) / 2

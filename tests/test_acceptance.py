@@ -28,9 +28,9 @@ def test_c1_cp_equivalence():
     start = time.perf_counter()
     samples = rng.uniform(-1, 1, (10_000, 3))
     for eta in samples:
-        member = qg.in_D(eta, tol=1e-9)
+        member = qg.in_D(eta)
         weights_ok = bool(np.min(qg.pauli_weights(eta).p) >= -2.5e-10)
-        cp, _ = qg.is_cp(qg.AffineChannel.from_eta(eta), tol=1e-9)
+        cp, _ = qg.is_cp(qg.AffineChannel.from_eta(eta))
         assert member == weights_ok == cp, eta
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -165,7 +165,7 @@ def test_c8_positive_map_decomposition():
     for eta in rng.uniform(-1, 1, (10_000, 3)):
         dec = qg.sw_decompose(eta)
         assert 0.0 <= dec.p <= 1.0
-        assert qg.in_D(dec.cp1, tol=1e-9)
+        assert qg.in_D(dec.cp1)
         assert any(np.array_equal(dec.cp2, v) for v in geometry.VERTICES)
         worst = max(worst, float(np.max(np.abs(dec.reconstruct() - eta))))
     assert worst <= 1e-12

@@ -50,8 +50,8 @@ CALLS = {
     "channel_from_json": (qg.channel_from_json, [{"eta": [0.5, 0.2, 0.1]}], (0,)),
     "choi": (qg.choi, [CH], ()),
     "density_to_bloch": (qg.density_to_bloch, [RHO], (0,)),
-    "is_cp": (qg.is_cp, [CH, 1e-9], (1,)),
-    "is_positive_unital": (qg.is_positive_unital, [CH, 1e-9], (1,)),
+    "is_cp": (qg.is_cp, [CH], ()),
+    "is_positive_unital": (qg.is_positive_unital, [CH], ()),
     "CouplingSpec": (qg.CouplingSpec, [[1.0, 0.0, 0.0]], (0,)),
     "CouplingSpec.from_alpha2": (qg.CouplingSpec.from_alpha2, [[0.2, 0.3, 0.5]], (0,)),
     "Trajectory": (qg.Trajectory, [[0.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]], (0, 1)),
@@ -62,7 +62,7 @@ CALLS = {
     "trajectory_to_csv": (qg.trajectory_to_csv, [qg.trajectory(SPEC, [0.0, 1.0])], ()),
     "PauliMixture": (qg.PauliMixture, [[0.25, 0.25, 0.25, 0.25]], (0,)),
     "compose": (qg.compose, [[0.5, 0.2, 0.1], [1.0, -1.0, 1.0]], (0, 1)),
-    "in_D": (qg.in_D, [[0.5, 0.2, 0.1], 1e-9], (0, 1)),
+    "in_D": (qg.in_D, [[0.5, 0.2, 0.1]], (0,)),
     "mixture_to_eta": (qg.mixture_to_eta, [[0.25, 0.25, 0.25, 0.25]], (0,)),
     "pauli_weights": (qg.pauli_weights, [[0.5, 0.2, 0.1]], (0,)),
     "project_constrained": (qg.project_constrained, [[1.0, 1.0, 0.0], [True, True, False], [0.0]],
@@ -70,7 +70,7 @@ CALLS = {
     "project_to_D": (qg.project_to_D, [[-1.0, -1.0, -1.0]], (0,)),
     "sw_decompose": (qg.sw_decompose, [[-0.9, -0.9, -0.9]], (0,)),
     "hermitian_eig": (qg.hermitian_eig, [RHO], (0,)),
-    "partial_trace_ancilla": (qg.partial_trace_ancilla, [np.eye(8) / 8, 4], (0, 1)),
+    "partial_trace_ancilla": (qg.partial_trace_ancilla, [np.eye(8) / 8], (0,)),
     "svd3": (qg.svd3, [np.eye(3)], (0,)),
     "unitary_exp": (qg.unitary_exp, [np.diag([1.0, -1.0]), 1.0], (0, 1)),
     "NetworkSpec": (qg.NetworkSpec, [np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0]], (0, 1, 2)),
@@ -288,6 +288,20 @@ def test_valid_boundary_point(name):
             _valid(qg.eta_of_t, spec, t)
             for rho in STATES:
                 _valid(qg.simulate_reduced, spec, t, rho)
+
+
+@pytest.mark.parametrize("m", [1e308, 1.7e308])
+def test_valid_extreme_magnitude(m):
+    """The vertex and corner directions at magnitudes where n . eta overflows:
+    every entry point that reads the Pauli weights keeps them finite."""
+    for eta in np.concatenate([m * _V, -m * _V]):
+        for ch in (qg.AffineChannel.from_eta(eta), qg.AffineChannel(ROTATION @ np.diag(eta) @ ROTATION)):
+            _valid(qg.is_cp, ch)
+            _valid(qg.compile_channel, ch)
+        for fn in (qg.in_D, qg.pauli_weights, qg.design_coupling, qg.probe_overlaps_dilation):
+            _valid(fn, eta)
+        for protocol in qg.Protocol:
+            _valid(qg.success_probability, protocol, eta)
 
 
 @pytest.mark.parametrize("d", [0.0, 1 / 3, 0.5])

@@ -9,7 +9,7 @@ from qubitgeom.errors import (BadDimension, EmptyIntersection, NonFiniteInput,
                               OutsideCube, WeightsNotNormalized)
 from qubitgeom.linalg import FACE_TOL
 
-from conftest import random_eta_in_D
+from conftest import face_slack, random_eta_in_D
 
 
 # ---------------------------------------------------------------- oracles
@@ -123,7 +123,7 @@ def test_weights_roundtrip(rng):
         mix = qg.pauli_weights(eta)
         assert abs(np.sum(mix.p) - 1.0) < 1e-12
         assert np.max(np.abs(qg.mixture_to_eta(mix) - eta)) < 1e-12
-        assert (np.min(mix.p) >= -1e-12) == qg.in_D(eta, tol=4e-12)
+        assert (np.min(mix.p) >= -1e-12) == (face_slack(eta) <= 4e-12)
 
 
 def test_mixture_to_eta_rejects_unnormalised():
@@ -144,7 +144,7 @@ def test_project_paper_points():
 def test_project_idempotent_and_obtuse(rng):
     for eta in rng.uniform(-1, 1, (100, 3)):
         p = qg.project_to_D(eta)
-        assert qg.in_D(p, tol=1e-9)
+        assert qg.in_D(p)
         assert np.max(np.abs(qg.project_to_D(p) - p)) < 1e-9
         # variational characterisation of projection onto a convex set
         for v in geometry.VERTICES:
@@ -182,7 +182,7 @@ def _exterior_points_near_boundary(rng):
 def test_project_vertex_optimality_near_boundary(rng):
     for y in _exterior_points_near_boundary(rng):
         x = qg.project_to_D(y)
-        assert qg.in_D(x, tol=1e-12)
+        assert face_slack(x) <= 1e-12
         assert np.max((geometry.VERTICES - x) @ (y - x)) <= 1e-12
 
 
@@ -196,7 +196,7 @@ def _slice_vertices(free, fixed):
         if abs(np.linalg.det(G)) < 1e-12:
             continue
         v = np.linalg.solve(G, np.concatenate([fixed, np.ones(len(faces))]))
-        if qg.in_D(v, tol=1e-12):
+        if face_slack(v) <= 1e-12:
             verts.append(v)
     return np.array(verts)
 
@@ -209,7 +209,7 @@ def test_project_constrained_vertex_optimality(rng):
         fixed = random_eta_in_D(rng)[~free]
         y = rng.uniform(-1.5, 1.5, 3)
         x = qg.project_constrained(y, free, fixed)
-        assert qg.in_D(x, tol=1e-12)
+        assert face_slack(x) <= 1e-12
         assert np.max(np.abs(x[~free] - fixed)) <= 1e-12
         verts = _slice_vertices(free, fixed)
         assert np.max((verts - x) @ (y - x)) <= 1e-12
@@ -242,6 +242,23 @@ def test_simplex_oracle_matches_projection():
     assert np.linalg.norm(got - simplex_project_oracle(etas), axis=1).max() <= 1e-15
 
 
+def test_far_projection_matches_oracle_or_raises():
+    """A KKT candidate's rounding error grows as eps * |eta|, against the absolute
+    FACE_TOL: up to max|eta_k| = 1e6 projections match the simplex oracle, and
+    beyond it, where a wrong candidate can pass that check, they raise OutsideCube."""
+    rng = np.random.default_rng(1017)
+    u = rng.standard_normal((2000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    got = np.array([qg.project_to_D(1e6 * x) for x in u])
+    assert np.linalg.norm(got - simplex_project_oracle(1e6 * u), axis=1).max() <= 1e-9
+    qg.project_to_D([1e6, 0.0, 0.0])
+    for y in [[np.nextafter(1e6, 2e6), 0.0, 0.0], *(5e6 * u)]:
+        with pytest.raises(OutsideCube):
+            qg.project_to_D(y)
+    with pytest.raises(OutsideCube):
+        qg.project_constrained([5e6, 0.0, 0.0], [True, True, False], [0.0])
+
+
 def test_project_constrained_edge_slice_vs_grid():
     # slice x = -1 meets D in the edge between the y- and z-rotations
     y = np.array([-1.0, -1.0, -1.0])
@@ -256,7 +273,7 @@ def test_project_constrained_edge_slice_vs_grid():
         for y in np.arange(y0, y1 + h / 2, h):
             for z in np.arange(y0, y1 + h / 2, h):
                 cand = np.array([-1.0, y, z])
-                if not qg.in_D(cand, tol=1e-12):
+                if face_slack(cand) > 1e-12:
                     continue
                 d = np.sum((cand - np.array([-1.0, -1.0, -1.0])) ** 2)
                 if d < best_d:
@@ -352,7 +369,7 @@ def test_sw_decompose_random_cube(rng):
     for eta in rng.uniform(-1, 1, (1000, 3)):
         dec = qg.sw_decompose(eta)
         assert 0.0 <= dec.p <= 1.0
-        assert qg.in_D(dec.cp1, tol=1e-9)
+        assert qg.in_D(dec.cp1)
         assert any(np.array_equal(dec.cp2, v) for v in geometry.VERTICES)
         assert np.max(np.abs(dec.reconstruct() - eta)) < 1e-12
 

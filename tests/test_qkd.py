@@ -10,6 +10,8 @@ from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
                              SymmetryViolation, UnknownName)
 from qubitgeom.linalg import FACE_TOL, PAULIS
 
+from conftest import face_slack
+
 FOUR = qg.Protocol.FOUR_STATE
 SIX = qg.Protocol.SIX_STATE
 
@@ -94,7 +96,7 @@ def test_optimal_attack_consistency(rng):
     for d in rng.uniform(0, 0.5, 20):
         for proto in (FOUR, SIX):
             r = qg.optimal_attack(proto, d)
-            assert qg.in_D(r.eta, tol=1e-9)
+            assert qg.in_D(r.eta)
             assert abs(r.fidelity + r.disturbance - 1.0) < 1e-12
             eta_sym = r.eta[0]
             assert abs(r.disturbance - (1 - eta_sym) / 2) < 1e-12
@@ -113,7 +115,7 @@ def test_optimal_attack_beyond_one_third():
     # and (eta_min, -eta_min, eta_min) in D reaches it
     for d in np.append(np.linspace(1 / 3, 0.5, 13)[1:], [0.35, 0.4, 0.45]):
         r = qg.optimal_attack(FOUR, d)
-        assert qg.in_D(r.eta, tol=1e-12)
+        assert face_slack(r.eta) <= 1e-12
         assert r.disturbance == d and r.eta[0] == 1 - 2 * d
         assert abs(r.overlap) == 0.0 and r.p_c == 1.0
         grid = qg.brute_force_optimum(FOUR, d, 1e-2)
@@ -130,8 +132,8 @@ def test_optimal_attack_range():
 def test_attack_boundary_is_tetrahedron_face(rng):
     # for eta_x = eta_z = s in [0,1], CP forces eta_y >= 2s - 1
     for s in rng.uniform(0, 1, 50):
-        assert qg.in_D([s, 2 * s - 1, s], tol=1e-12)
-        assert not qg.in_D([s, 2 * s - 1 - 1e-6, s], tol=1e-9)
+        assert face_slack([s, 2 * s - 1, s]) <= 1e-12
+        assert not qg.in_D([s, 2 * s - 1 - 1e-6, s])
 
 
 def test_dilation_trivial_and_derived_points():
