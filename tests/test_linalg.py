@@ -148,17 +148,25 @@ def test_unitary_exp_group_property(rng):
 
 
 def test_partial_trace_product_state(rng):
-    """The ancilla dimension d is read from a 2d x 2d input; d = 1 returns the input."""
     from conftest import random_density
 
     rho_q = random_density(rng)
-    assert np.array_equal(linalg.partial_trace_ancilla(rho_q), rho_q)
     for dim in (3, 4):
         anc = np.zeros((dim, dim), dtype=complex)
         anc[0, 0] = 1.0
         out = linalg.partial_trace_ancilla(np.kron(rho_q, anc))
         assert np.max(np.abs(out - rho_q)) < 1e-12
-    assert np.max(np.abs(linalg.partial_trace_ancilla(np.eye(6) / 6) - np.eye(2) / 2)) < 1e-12
+
+
+def test_partial_trace_takes_any_integer_ancilla_dim(rng):
+    """The ancilla dimension d is read from a 2d x 2d input; d = 1 returns the input."""
+    from conftest import random_density
+
+    rho_q = random_density(rng)
+    assert np.array_equal(linalg.partial_trace_ancilla(rho_q), rho_q)
+    for dim in (1, 2, 3, 5):
+        rho = np.eye(2 * dim) / (2 * dim)
+        assert np.max(np.abs(linalg.partial_trace_ancilla(rho) - np.eye(2) / 2)) < 1e-12
 
 
 def test_partial_trace_maximally_mixed():
