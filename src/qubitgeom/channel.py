@@ -35,7 +35,8 @@ def bloch_to_density(s: np.ndarray) -> np.ndarray:
 
 
 def _in_ball(s: np.ndarray) -> np.ndarray:
-    norm = math.sqrt(s.dot(s))  # np.linalg.norm(s) to the bit, without its overhead
+    far = max(map(abs, s.tolist())) > 1.0 + linalg.ORTHO_TOL  # outside; s . s may overflow
+    norm = math.hypot(*s.tolist()) if far else math.sqrt(s.dot(s))  # else np.linalg.norm to the bit
     if norm > 1.0 + linalg.ORTHO_TOL:
         raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
     return s
@@ -91,21 +92,19 @@ class AffineChannel:
 
     @cached_property
     def _canonical(self) -> "CanonicalForm":
-        Q, sigma, Vt = np.linalg.svd(self.A)  # svd3 without its check: A is frozen
-        if _det3(Q) < 0:
-            Q[:, 2] = -Q[:, 2]
-            sigma[2] = -sigma[2]
-        # Need det(S) = det(V^T) so that R = Q S V^T is proper.
-        S = np.array([1.0, 1.0, -1.0 if _det3(Vt) < 0 else 1.0])
-        return _trusted(CanonicalForm, Q=Q, delta=sigma * S, R=(Q * S) @ Vt)
+        Q, delta, Vt = np.linalg.svd(self.A)  # svd3 without its check: A is frozen
+        for M in (Q.T, Vt):  # proper Q, then proper R = Q V^T: the bits of sigma S and (Q S) V^T
+            if _det3(M) < 0:
+                M[2] = -M[2]
+                delta[2] = -delta[2]
+        return _trusted(CanonicalForm, Q=Q, delta=delta, R=Q.dot(Vt))
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(delta, u1, u2), A = u2 diag(delta) u1: (eta, I, I) if diagonal, else from _canonical."""
+        """(delta, Q, R), A = Q diag(delta) Q^T R: (eta, I, I) if diagonal, else _canonical's."""
         if self.is_diagonal:
             return self.eta, np.eye(3), np.eye(3)
-        form = self._canonical
-        return form.delta, form.Q.T @ form.R, form.Q
+        return self._canonical.delta, self._canonical.Q, self._canonical.R
 
     @property
     def eta(self) -> np.ndarray:

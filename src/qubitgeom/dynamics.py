@@ -26,7 +26,7 @@ import numpy as np
 
 from . import channel as qchannel
 from . import geometry, linalg, serialize
-from .errors import NotCP, QubitGeomError, WeightsNotNormalized
+from .errors import BadDimension, NotCP, WeightsNotNormalized
 from .linalg import ROUND_TOL, _freeze, _real, _trusted
 
 _ANCILLA_DIM = 4
@@ -126,8 +126,8 @@ def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
     """Evaluate eta_of_t over an ascending 1-D grid of times."""
     t_grid = _real(t_grid, "time grid", (-1,))
     if np.any(np.diff(t_grid) < 0):
-        raise QubitGeomError("time grid must be ascending")
-    return _trusted(Trajectory, times=t_grid, etas=_eta_of_t(spec, t_grid))
+        raise BadDimension("time grid must be ascending")
+    return _trusted(Trajectory, times=t_grid.copy(), etas=_eta_of_t(spec, t_grid))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

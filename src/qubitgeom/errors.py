@@ -10,15 +10,15 @@ class NonHermitianInput(QubitGeomError):
 
 
 class BadDimension(QubitGeomError):
-    """An array has the wrong shape or dimension for the operation."""
+    """An input has the wrong type, shape or dimension, or a time grid is not ascending."""
 
 
 class NonFiniteInput(QubitGeomError):
-    """An input array holds NaN or infinity."""
+    """An input holds NaN or infinity, or is so large that the result overflows."""
 
 
 class UnphysicalBloch(QubitGeomError):
-    """Bloch vector outside the unit ball, or a density matrix of trace other than 1."""
+    """Bloch vector outside the unit ball, trace other than 1, or a rotation that is not proper."""
 
 
 class NotUnital(QubitGeomError):
@@ -50,4 +50,4 @@ class SymmetryViolation(QubitGeomError):
 
 
 class DisturbanceOutOfRange(QubitGeomError):
-    """Disturbance level outside the supported range."""
+    """Disturbance level, grid resolution, sample count or seed outside the supported range."""

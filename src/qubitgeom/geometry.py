@@ -15,7 +15,8 @@ composed with the transpose.
 
 A projection tries every set of active faces at once: the KKT step of a set
 depends on the set and the pinned coordinates but not on the point, so each
-step matrix is computed once per pinning pattern.
+step matrix is computed once per pinning pattern. The Pauli weights of eta are
+0.25 + eta . _WEIGHT_STEP over any leading axes: the bits of 0.25 - n . (eta / 4).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.
 # Rows n with D = {eta : n . eta <= 1}; row k is opposite vertex k of
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
 FACE_NORMALS = -VERTICES
+_WEIGHT_STEP = -FACE_NORMALS.T / 4.0  # column k: d weight_k / d eta
 _FACE_RHS = np.ones(4)
 
 # Cube corners outside D; corner k is the antipode of vertex k.
@@ -71,8 +73,8 @@ def pauli_weights(eta) -> PauliMixture:
     return _trusted(PauliMixture, p=_weights(_real(eta, "eta", (3,))))
 
 
-def _weights(eta: np.ndarray) -> np.ndarray:  # eta: a float array of shape (3,)
-    return 0.25 - FACE_NORMALS @ (eta / 4.0)  # the same bits, without overflow near 1e308
+def _weights(eta: np.ndarray) -> np.ndarray:  # eta: floats of shape (..., 3)
+    return 0.25 + eta.dot(_WEIGHT_STEP)  # no n . eta to overflow near 1e308
 
 
 def _slack(p: np.ndarray) -> float:  # p: the weights of eta, or 4 Choi eigenvalues
@@ -90,8 +92,9 @@ def mixture_to_eta(p) -> np.ndarray:
 
 
 def compose(a, b) -> np.ndarray:
-    """Composition of two diagonal maps: componentwise product."""
-    return _real(a, "a", (3,)) * _real(b, "b", (3,))
+    """Composition of two diagonal maps: componentwise product; NonFiniteInput if it overflows."""
+    a, b = _real(a, "a", (3,)).tolist(), _real(b, "b", (3,)).tolist()
+    return _real([x * y for x, y in zip(a, b)], "the product a * b")  # Python floats: no warning
 
 
 @cache
@@ -101,7 +104,7 @@ def _steps(free: tuple[bool, bool, bool]):
     G stacks the pinning rows and the face normals; active sets k run smallest
     first, so the first of two equally near candidates wins. Rows 3k..3k+2 of
     W hold the step G_k^T (G_k G_k^T)^-1 of set k (pinv if its rows G_k are
-    dependent), zero-padded to len(G) columns; rows[k] is 1 on G_k, else 0.
+    dependent), zero-padded to len(G) columns; own[k] is -1 on G_k, else 0.
     """
     pins = np.eye(3)[~np.array(free)]
     G = np.vstack([pins, FACE_NORMALS])
@@ -113,7 +116,7 @@ def _steps(free: tuple[bool, bool, bool]):
             Gk = G[idx]
             dependent = np.linalg.matrix_rank(Gk) < len(idx)
             W[k][:, idx] = np.linalg.pinv(Gk) if dependent else Gk.T @ np.linalg.inv(Gk @ Gk.T)
-    return G, W.reshape(-1, len(G)), W.any(axis=1).astype(float)
+    return G, W.reshape(-1, len(G)), -W.any(axis=1).astype(float)
 
 
 def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarray) -> np.ndarray:
@@ -127,15 +130,15 @@ def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarra
     """
     if max(map(abs, y.tolist())) > 1e6:
         raise OutsideCube(f"eta {y} too far from D to project (max |eta_k| > 1e6)")
-    G, W, rows = _steps(free)
-    X = y - (W @ (G @ y - r)).reshape(-1, 3)
-    resid = X @ G.T - r
+    G, W, own = _steps(free)
+    X = y - W.dot(G.dot(y) - r).reshape(-1, 3)
+    resid = X.dot(G.T) - r
     # |resid| <= FACE_TOL on the set's own rows, resid <= FACE_TOL on the others
-    ok = (np.maximum(resid, -resid * rows) <= FACE_TOL).all(axis=1)
-    d2 = np.where(ok, ((X - y) ** 2).sum(axis=1), np.inf).tolist()
+    worst = np.maximum.reduce(np.maximum(resid, resid * own), axis=1).tolist()
+    d2 = np.add.reduce((X - y) ** 2, axis=1).tolist()
     best, best_d2 = None, np.inf
-    for k, d in enumerate(d2):
-        if d < best_d2 - 1e-15:
+    for k, (w, d) in enumerate(zip(worst, d2)):
+        if w <= FACE_TOL and d < best_d2 - 1e-15:
             best, best_d2 = k, d
     if best is None:
         raise EmptyIntersection("constraint slice does not meet the tetrahedron")
@@ -206,7 +209,7 @@ def sw_decompose(eta) -> SWDecomposition:
     corner = NONCP_CORNERS[k]
     # eta = (1 - p) corner + p cp1, n_k . cp1 = 1, n_k . corner = 3; d is exact near the corner
     d = eta - corner
-    p = -(FACE_NORMALS[k] @ d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
+    p = -FACE_NORMALS[k].dot(d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
     cp1 = corner + d / p if p > 0.0 else corner / 3.0  # eta == corner: centroid of the face
     cp2 = corner * TRANSPOSE_ETA  # compose(corner, transpose); transpose is an involution
     return SWDecomposition(float(p), cp1, corner, cp2)

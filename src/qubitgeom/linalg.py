@@ -1,15 +1,14 @@
-"""Small dense linear-algebra kernel for dimensions up to 8.
-
-Everything here operates on plain numpy arrays: complex square matrices of
-dimension 2, 4 or 8, and real 3x3 matrices. All functions are pure.
+"""Small dense linear-algebra kernel for dimensions up to 8, on plain numpy arrays:
+complex square matrices of dimension 2, 4 or 8 and real 3x3 matrices. All pure.
 
 Validate once, at the public boundary. A public function checks what its caller
 passes (with _real, require_hermitian or a value type's __post_init__) and hands
 it to an unchecked private kernel, the one source of its formula. Arrays the
-program built, and the read-only arrays of value types, go straight to kernels.
-_trusted builds a value type without its __post_init__, only from arrays valid by
-construction (from_eta, catalog, the cached canonical form, pauli_weights,
-compile_channel, design_coupling, trajectory).
+program built, and the read-only arrays of value types, go straight to kernels;
+_trusted keeps such arrays, uncopied, in a value type built without __post_init__.
+Where numpy's dispatch outweighs the work and numpy does not decide the bits, a
+kernel reads tolist() and does Python arithmetic, as require_hermitian does. BLAS
+products (written a.dot(b): @'s bits, less dispatch), svd and seeding stay numpy.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
 
 
 def _trusted(cls, **arrays):
-    """cls holding read-only float copies of arrays, skipping __post_init__."""
+    """cls holding arrays as read-only floats, kept and not copied, skipping __post_init__."""
     obj = object.__new__(cls)
     for name, value in arrays.items():
-        a = np.array(value, dtype=float)
+        a = np.asarray(value, dtype=float)
         a.setflags(write=False)
         object.__setattr__(obj, name, a)
     return obj
@@ -76,9 +75,13 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
         raise BadDimension(f"matrix must be numbers: {exc}") from None
     if M.ndim != 2 or not 0 < M.shape[0] == M.shape[1]:
         raise BadDimension(f"expected a nonempty square matrix, got shape {M.shape}")
-    if np.count_nonzero(np.isfinite(M)) != M.size:  # before M - M^H: inf - inf warns
+    entries, transposed = M.ravel().tolist(), M.T.ravel().tolist()  # Python complex: numpy's bits
+    if not all(z - z == 0 for z in entries):  # z - z is 0 for finite z, else NaN
         raise NonFiniteInput("matrix must be finite")
-    dev = np.abs(M - M.conj().T).max()
+    try:  # max |M_ij - conj M_ji|; abs raises OverflowError past the largest double
+        dev = max(abs(a - b.conjugate()) for a, b in zip(entries, transposed))
+    except OverflowError:
+        dev = np.inf
     if dev > ROUND_TOL:
         raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {ROUND_TOL:.1e}")
     return M
@@ -107,11 +110,13 @@ def svd3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def unitary_exp(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H and finite t, via eigendecomposition (hbar = 1)."""
+    """exp(-i H t) for Hermitian H and finite t and H t, via eigendecomposition (hbar = 1)."""
     return _exp_eig(*hermitian_eig(H), float(_real(t, "time", ())))
 
 
 def _exp_eig(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:  # H = V diag(w) V^H
+    if max(map(abs, w.tolist())) * abs(t) == np.inf:  # Python floats overflow with no warning
+        raise NonFiniteInput(f"an eigenvalue times t = {t} overflows")
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
@@ -124,14 +129,17 @@ def partial_trace_ancilla(rho: np.ndarray) -> np.ndarray:
     """Trace out the ancilla of a qubit (x) ancilla state, a 2d x 2d Hermitian
     matrix checked as require_hermitian does; d is read from its shape.
 
-    Tensor ordering is system (x) ancilla, row-major: index =
-    qubit_index * d + ancilla_index. Raises BadDimension if the dimension is odd.
+    Tensor ordering is system (x) ancilla, row-major: index = qubit_index * d +
+    ancilla_index. Raises BadDimension for an odd dimension, NonFiniteInput on overflow.
     """
     rho = require_hermitian(rho)
     dim, odd = divmod(rho.shape[0], 2)
     if odd:
         raise BadDimension(f"expected an even dimension 2d, got shape {rho.shape}")
-    return _trace_ancilla(rho, dim)
+    out = _trace_ancilla(rho, dim)
+    if not np.isfinite(out).all():  # a sum of entries near the largest double
+        raise NonFiniteInput("the partial trace overflows")
+    return out
 
 
 def _trace_ancilla(rho: np.ndarray, dim: int) -> np.ndarray:  # rho: (2 dim) x (2 dim)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import channel as qchannel
 from . import geometry
-from .errors import BadDimension, NotCP, NotUnital, QubitGeomError, WeightsNotNormalized
+from .errors import (BadDimension, DisturbanceOutOfRange, NotCP, NotUnital, UnphysicalBloch,
+                     WeightsNotNormalized)
 from .linalg import FACE_TOL, ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
 
 
@@ -44,7 +45,7 @@ class NetworkSpec:
             raise WeightsNotNormalized("weights must be nonnegative with unit sum")
         for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
             if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and _det3(M) >= 0):
-                raise QubitGeomError("u1, u2 must be proper rotations")
+                raise UnphysicalBloch("u1, u2 must be proper rotations")
 
     def to_json(self) -> dict:
         return {"u1": self.u1.tolist(), "u2": self.u2.tolist(),
@@ -68,21 +69,20 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     """
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
-    delta, u1, u2 = ch._factors
+    delta, Q, R = ch._factors
     p = geometry._weights(delta)
     slack = geometry._slack(p)
     if slack > FACE_TOL:
         raise NotCP(f"channel is not CP (Choi min eigenvalue {-slack / 4.0:.3e})")
     weights = np.maximum(p, 0.0)
-    return _trusted(NetworkSpec, u1=u1, u2=u2, weights=weights / weights.sum())
+    return _trusted(NetworkSpec, u1=Q.T.dot(R), u2=Q, weights=weights / weights.sum())
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
     """Exact (density-matrix) execution of the network."""
-    s = spec.u1 @ qchannel.density_to_bloch(rho0)
-    s = (geometry.VERTICES.T @ spec.weights) * s
-    s = spec.u2 @ s
-    return qchannel._density(s)
+    s = spec.u1.dot(qchannel.density_to_bloch(rho0))
+    s = geometry.VERTICES.T.dot(spec.weights) * s
+    return qchannel._density(spec.u2.dot(s))
 
 
 def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
@@ -96,13 +96,13 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     try:
         n, seed = operator.index(n), operator.index(seed)  # numpy integers pass; 2.0 does not
     except TypeError:
-        raise QubitGeomError(f"n and seed must be integers, got {n!r} and {seed!r}") from None
+        raise BadDimension(f"n and seed must be integers, got {n!r} and {seed!r}") from None
     if not (1 <= n < 2**63 and seed >= 0):
-        raise QubitGeomError(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
+        raise DisturbanceOutOfRange(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
     p_hat = rng.multinomial(n, spec.weights / spec.weights.sum()) / n  # branch frequencies
-    s0 = spec.u1 @ qchannel.density_to_bloch(rho0)
-    s_avg = spec.u2 @ ((p_hat @ geometry.VERTICES) * s0)
+    s0 = spec.u1.dot(qchannel.density_to_bloch(rho0))
+    s_avg = spec.u2.dot(p_hat.dot(geometry.VERTICES) * s0)
     # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
     norm = math.sqrt(s_avg.dot(s_avg))  # np.linalg.norm to the bit
     if norm > 1.0:

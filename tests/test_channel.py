@@ -355,6 +355,48 @@ def test_canonical_form_negative_determinant():
     assert np.linalg.det(np.diag(form.delta)) < 0
 
 
+def _reference_canonical(A):
+    """The sign-vector form: delta = sigma S and R = (Q S) V^T, with
+    S = diag(1, 1, sign det V^T), after Q's third column takes det Q's sign."""
+    Q, sigma, Vt = np.linalg.svd(A)
+    if np.linalg.det(Q) < 0:
+        Q[:, 2] = -Q[:, 2]
+        sigma[2] = -sigma[2]
+    S = np.array([1.0, 1.0, -1.0 if np.linalg.det(Vt) < 0 else 1.0])
+    return Q, sigma * S, (Q * S) @ Vt
+
+
+def test_canonical_bits_locked(rng):
+    """The cached canonical form keeps the SVD's arrays and flips signs in place,
+    to the bits of the sign-vector form, on rotated channels with det A and
+    det V^T of both signs and on signed permutations, where det U < 0 too."""
+    seen = Counter()
+    for i in range(1200):
+        eta = rng.uniform(-1, 1, 3)
+        if i % 4 >= 2:  # a signed permutation, singular for i % 4 == 3
+            eta[rng.integers(3)] *= i % 4 == 2
+            A = np.eye(3)[rng.permutation(3)] @ np.diag(rng.choice([-1.0, 1.0], 3) * eta)
+        else:
+            A = random_rotation(rng) @ np.diag(eta) @ random_rotation(rng)
+        U, _, Vt = np.linalg.svd(A)
+        seen[np.linalg.det(U) < 0, np.linalg.det(Vt) < 0, np.linalg.det(A) < 0] += 1
+        form = qg.canonical_form(qg.AffineChannel(A))
+        for got, want in zip((form.Q, form.delta, form.R), _reference_canonical(A)):
+            assert got.tobytes() == want.tobytes()
+    assert {(u, v) for u, v, _ in seen} == {(False, False), (False, True), (True, False), (True, True)}
+    assert {(v, a) for _, v, a in seen} >= {(False, False), (True, True), (False, True), (True, False)}
+
+
+def test_bloch_to_density_rejects_huge_vector_without_warning():
+    """max |s_k| > 1 + ORTHO_TOL is rejected before s . s can overflow, and the
+    message gives a finite |s|."""
+    for s, norm in (([1e155, 0.0, 0.0], "1e+155"), ([1e308, -1e308, 0.0], "1.4142135623730951e+308"),
+                    ([1.0 + 2e-10, 0.0, 0.0], "1.0000000002")):
+        with pytest.raises(UnphysicalBloch) as info:
+            qg.bloch_to_density(s)
+        assert str(info.value) == f"|s| = {norm} exceeds 1"
+
+
 def test_canonical_form_random_contractions(rng):
     for _ in range(200):
         A = rng.uniform(-1, 1, (3, 3))

@@ -39,6 +39,15 @@ def test_goldens_byte_identical(argv, golden):
     assert out == (GOLDEN_DIR / golden).read_bytes()
 
 
+def test_huge_state_error_is_one_json_object():
+    """A Bloch vector whose s . s would overflow is refused before the dot, so
+    stderr holds the JSON error alone, with no numpy warning ahead of it."""
+    proc = run_cli("run", "--catalog", "identity", "--state", "1e155", "0", "0", "--n", "10",
+                   check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {"error": "UnphysicalBloch", "message": "|s| = 1e+155 exceeds 1"}
+
+
 def test_golden_values():
     # the committed bytes encode the expected numbers
     obj = json.loads((GOLDEN_DIR / "check_universal_not.json").read_text())

@@ -19,6 +19,7 @@ import dataclasses
 import io
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,10 +185,13 @@ def test_every_special_value_in_every_slot(slot):
     pytest.param(lambda: qg.partial_trace_ancilla(np.full((8, 8), np.nan)), NonFiniteInput,
                  id="partial_trace_ancilla-nan"),
     pytest.param(lambda: qg.hermitian_eig(np.zeros((0, 0))), BadDimension, id="hermitian_eig-empty"),
-    pytest.param(lambda: qg.run_sampled(NET, RHO, 10, -1), QubitGeomError, id="run_sampled-seed-negative"),
-    pytest.param(lambda: qg.run_sampled(NET, RHO, 10, 1.5), QubitGeomError, id="run_sampled-seed-float"),
-    pytest.param(lambda: qg.run_sampled(NET, RHO, 2**70, 0), QubitGeomError, id="run_sampled-n-2**70"),
-    pytest.param(lambda: qg.run_sampled(NET, RHO, 2**63, 0), QubitGeomError, id="run_sampled-n-2**63"),
+    pytest.param(lambda: qg.run_sampled(NET, RHO, 10, -1), DisturbanceOutOfRange,
+                 id="run_sampled-seed-negative"),
+    pytest.param(lambda: qg.run_sampled(NET, RHO, 10, 1.5), BadDimension, id="run_sampled-seed-float"),
+    pytest.param(lambda: qg.run_sampled(NET, RHO, 2**70, 0), DisturbanceOutOfRange,
+                 id="run_sampled-n-2**70"),
+    pytest.param(lambda: qg.run_sampled(NET, RHO, 2**63, 0), DisturbanceOutOfRange,
+                 id="run_sampled-n-2**63"),
     pytest.param(lambda: qg.brute_force_optimum(FOUR, 0.25, 1e-300), DisturbanceOutOfRange,
                  id="brute_force_optimum-resolution-1e-300"),
     pytest.param(lambda: qg.brute_force_optimum(FOUR, 0.25, 0.99e-5), DisturbanceOutOfRange,
@@ -293,7 +297,19 @@ def test_valid_boundary_point(name):
 @pytest.mark.parametrize("m", [1e308, 1.7e308])
 def test_valid_extreme_magnitude(m):
     """The vertex and corner directions at magnitudes where n . eta overflows:
-    every entry point that reads the Pauli weights keeps them finite."""
+    every entry point that reads the Pauli weights keeps them finite. A result
+    that itself overflows (a product, a trace, an eigenvalue times t) raises
+    NonFiniteInput, and nothing warns."""
+    for call in (lambda: qg.partial_trace_ancilla(m * np.eye(8)), lambda: qg.compose([m] * 3, [m] * 3),
+                 lambda: qg.unitary_exp(np.diag([m, -m]), 1e10)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalBloch):
+            qg.bloch_to_density([m, 0.0, 0.0])
     for eta in np.concatenate([m * _V, -m * _V]):
         for ch in (qg.AffineChannel.from_eta(eta), qg.AffineChannel(ROTATION @ np.diag(eta) @ ROTATION)):
             _valid(qg.is_cp, ch)
@@ -353,3 +369,13 @@ def test_cli_exits_0_or_2(verb):
         for text in _TEXTS:
             argv = template.format(*valid[:i], text, *valid[i + 1:]).split(" ")
             assert _main(argv) in (0, 2), argv
+
+
+def test_no_bare_base_error_raised():
+    """Every raise in the library names the QubitGeomError subclass its message
+    describes; the base class is only caught."""
+    src = Path(qg.__file__).parent
+    bare = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if "raise QubitGeomError(" in line]
+    assert bare == []

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import qubitgeom as qg
 from qubitgeom import cli, dynamics, linalg
-from qubitgeom.errors import NonFiniteInput, NotCP, QubitGeomError
+from qubitgeom.errors import BadDimension, NonFiniteInput, NotCP, QubitGeomError
 
 from conftest import random_density, random_eta_in_D
 
@@ -170,7 +170,7 @@ def test_trajectory_collinear_segment():
 
 
 def test_trajectory_rejects_descending_grid():
-    with pytest.raises(QubitGeomError):
+    with pytest.raises(BadDimension):
         qg.trajectory(EQUAL, [1.0, 0.5])
 
 

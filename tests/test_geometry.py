@@ -118,6 +118,28 @@ def test_pauli_weights_examples():
     assert signed.signed
 
 
+def _weight_points(rng):
+    """Seeded points for the Pauli-weight kernel: both zeros, subnormals, magnitudes
+    from 1e-300 to 1.7e308 in every sign pattern, the vertices and their antipodes."""
+    signs = rng.choice([-1.0, 1.0], (30000, 3))
+    special = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [5e-324, -5e-324, 0.0],
+               [2.2250738585072014e-308, -1e-310, 3e-320], [1.7e308, -1.7e308, 1.7e308]]
+    return np.vstack([signs * 10.0 ** rng.uniform(-300, np.log10(1.7e308), (30000, 3)),
+                      signs * 10.0 ** rng.uniform(-324, -300, (30000, 3)),
+                      rng.uniform(-1.5, 1.5, (30000, 3)), geometry.VERTICES,
+                      -geometry.VERTICES, special])
+
+
+def test_weights_bits_locked(rng):
+    """geometry._weights is 0.25 - n . (eta / 4) to the bit, row by row and over a
+    batch axis, with no warning on any finite input."""
+    points = _weight_points(rng)
+    batch = geometry._weights(points)
+    for eta, w in zip(points, batch):
+        reference = 0.25 - geometry.FACE_NORMALS @ (eta / 4.0)
+        assert geometry._weights(eta).tobytes() == reference.tobytes() == w.tobytes()
+
+
 def test_weights_roundtrip(rng):
     for eta in rng.uniform(-1, 1, (200, 3)):
         mix = qg.pauli_weights(eta)

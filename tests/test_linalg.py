@@ -1,11 +1,12 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import qubitgeom as qg
 from qubitgeom import linalg
-from qubitgeom.errors import BadDimension, NonFiniteInput, NonHermitianInput, NotCP
+from qubitgeom.errors import BadDimension, NonFiniteInput, NonHermitianInput, NotCP, QubitGeomError
 
 from conftest import random_hermitian, random_rotation
 
@@ -237,6 +238,70 @@ def checked_by(checks, fn, *args):
 
 def same(values, expected):
     return len(values) == len(expected) and all(v is e for v, e in zip(values, expected))
+
+
+def _numpy_require_hermitian(M):
+    """The numpy form of the Hermitian check that require_hermitian replaces."""
+    M = np.asarray(M, dtype=complex)
+    if np.count_nonzero(np.isfinite(M)) != M.size:
+        raise NonFiniteInput("matrix must be finite")
+    dev = np.abs(M - M.conj().T).max()
+    if dev > linalg.ROUND_TOL:
+        raise NonHermitianInput(f"Hermitian deviation {dev:.3e} exceeds {linalg.ROUND_TOL:.1e}")
+    return M
+
+
+def _outcome(check, M):
+    try:
+        return check(M).tobytes()
+    except QubitGeomError as exc:
+        return type(exc), str(exc)
+
+
+def _hermitian_cases(rng, n):
+    tol = linalg.ROUND_TOL
+    edges = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)]  # ROUND_TOL and one ulp each way
+    for _ in range(40):
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = X + X.conj().T
+        yield H
+        yield H + rng.uniform(-1e-12, 1e-12, (n, n))
+        i, j = rng.choice(n, 2, replace=False)
+        for d in edges:
+            for unit in (1.0, 1j, -1.0, -1j):
+                M = np.zeros((n, n), dtype=complex)
+                M[i, j] = d * unit  # |M_ij - conj M_ji| = d exactly
+                yield M
+                M = np.eye(n, dtype=complex)
+                M[i, i] += d * unit  # a diagonal entry: deviation |2 Im M_ii|
+                yield M
+        for bad in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, -np.inf),
+                    complex(np.nan, 1.0), complex(np.inf, np.inf)):
+            M = H.copy()
+            M[i, j] = bad
+            yield M
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_require_hermitian_matches_numpy_form(n, rng):
+    """The tolist() check gives the numpy form's verdict, exception type and
+    message on 2x2, 4x4 and 8x8 inputs: Hermitian, off by ROUND_TOL and one ulp
+    either way, and holding NaN, +-inf or a complex infinity."""
+    kinds = Counter()
+    for M in _hermitian_cases(rng, n):
+        got = _outcome(linalg.require_hermitian, M)
+        assert got == _outcome(_numpy_require_hermitian, M)
+        kinds[got[0] if isinstance(got, tuple) else "ok"] += 1
+    assert kinds["ok"] > 0 and kinds[NonHermitianInput] > 0 and kinds[NonFiniteInput] > 0
+
+
+def test_require_hermitian_overflow_is_a_verdict():
+    """A deviation past the largest double is NonHermitianInput, without a warning."""
+    for M, dev in (([[0.0, 1e308], [-1e308, 0.0]], "inf"),
+                   ([[0.0, 1e308 + 1e308j], [0.0, 0.0]], "1.414e+308")):
+        with pytest.raises(NonHermitianInput) as info:
+            linalg.require_hermitian(M)
+        assert str(info.value) == f"Hermitian deviation {dev} exceeds 1.0e-12"
 
 
 @pytest.mark.parametrize("delta", [(0.4, 0.3, 0.2), (0.9, 0.8, -0.7)], ids=["cp", "not-cp"])

@@ -6,7 +6,8 @@ import pytest
 import qubitgeom as qg
 from qubitgeom import channel as qchannel
 from qubitgeom import geometry, linalg, network, serialize
-from qubitgeom.errors import NotCP, NotUnital, QubitGeomError
+from qubitgeom.errors import (BadDimension, DisturbanceOutOfRange, NotCP, NotUnital, QubitGeomError,
+                              UnphysicalBloch)
 
 from conftest import random_density, random_eta_in_D, random_rotation, trace_distance
 
@@ -101,8 +102,9 @@ def test_run_sampled_converges():
 
 def test_run_sampled_rejects_bad_count(rng):
     spec = qg.compile_channel(qg.catalog("identity"))
-    for n in (0, 2.5, 2.0, "10"):
-        with pytest.raises(QubitGeomError):
+    for n, error in ((0, DisturbanceOutOfRange), (2.5, BadDimension), (2.0, BadDimension),
+                     ("10", BadDimension)):
+        with pytest.raises(error):
             qg.run_sampled(spec, random_density(rng), n, seed=0)
     rho0 = qg.bloch_to_density([0, 0, 1])
     assert qg.run_sampled(spec, rho0, np.int64(2), seed=0)[1] == 0.0
@@ -116,6 +118,9 @@ def test_network_spec_validation():
                         (np.eye(3), [1.5, -0.5, 0.0, 0.0])):
         with pytest.raises(QubitGeomError):
             qg.NetworkSpec(u1, np.eye(3), weights)
+    for u1 in (2 * np.eye(3), np.diag([1.0, 1.0, -1.0])):  # not orthogonal, improper
+        with pytest.raises(UnphysicalBloch):
+            qg.NetworkSpec(u1, np.eye(3), [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(QubitGeomError):
         qg.NetworkSpec(np.eye(3), nan_rotation, [1.0, 0.0, 0.0, 0.0])
 
@@ -204,6 +209,21 @@ def test_compile_matches_reference(rng, monkeypatch):
         assert not any(a.flags.writeable for a in arrays.values())
         rebuilt = type(value)(**arrays)
         assert all(getattr(rebuilt, k).tobytes() == a.tobytes() for k, a in arrays.items())
+
+
+def test_compile_after_is_cp_matches_fresh_compile(rng):
+    """compile_channel reads the factors is_cp cached; the spec is the one a
+    channel that has not been asked is_cp compiles to, byte for byte."""
+    compiled = 0
+    for A in _equivalence_channels(rng, 600):
+        asked, fresh = qg.AffineChannel(A), qg.AffineChannel(A)
+        if not qg.is_cp(asked)[0]:
+            continue
+        first, second = qg.compile_channel(asked), qg.compile_channel(fresh)
+        for name in ("u1", "u2", "weights"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        compiled += 1
+    assert compiled > 200
 
 
 def test_compile_checks_nothing_twice(rng, monkeypatch):
