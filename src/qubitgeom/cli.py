@@ -6,14 +6,15 @@ such as apply, have no verb. A channel comes from exactly one of --eta X Y Z,
 --in FILE.json and --catalog NAME; two sources exit 2. Results go to stdout
 as JSON (or CSV for trajectories) with floats at 17 significant digits; a
 malformed value or a validation failure exits with code 2 and a JSON error
-object on stderr.
+object on stderr. A process builds only its verb's arguments, imports dynamics,
+network or qkd only if the verb runs them, and skips interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import re
 import sys
 from collections.abc import Callable
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as qchannel
-from . import dynamics, geometry, linalg, network, qkd, serialize
+from . import geometry, linalg, serialize
 from .errors import QubitGeomError
 
 MAX_STEPS = 100_000  # a dynamics CSV of at most about 8 MB
@@ -108,7 +109,13 @@ def _project(args):
     return {"eta": geometry.project_constrained(eta, free, fixed_vals)}
 
 
+def _compile(args):
+    from . import network
+    return network.compile_channel(_channel_from_args(args)).to_json()
+
+
 def _run(args):
+    from . import network
     spec = network.compile_channel(_channel_from_args(args))
     rho0 = qchannel.bloch_to_density(args.state)
     if args.n is None:
@@ -120,6 +127,7 @@ def _run(args):
 
 
 def _dynamics(args):
+    from . import dynamics
     spec = dynamics.CouplingSpec.from_alpha2(args.alpha2)
     if args.oracle_state is not None:
         if args.t is None:
@@ -135,11 +143,13 @@ def _dynamics(args):
 
 
 def _design(args):
+    from . import dynamics
     spec, t = dynamics.design_coupling(args.eta)
     return {"alpha": spec.alpha, "alpha2": spec.alpha**2, "t": t}
 
 
 def _qkd(args):
+    from . import qkd
     report = qkd.optimal_attack(args.protocol, args.dmax).to_json()
     if args.grid_resolution is not None:
         report["grid_eta"] = qkd.brute_force_optimum(args.protocol, args.dmax, args.grid_resolution)
@@ -168,8 +178,7 @@ VERBS = {
     "canon": Verb("rotation-diagonal-rotation form", _CHANNEL_ARGS,
                   lambda args: asdict(qchannel.canonical_form(_channel_from_args(args))),
                   ("canonical_form",)),
-    "compile": Verb("compile to the simulation network", _CHANNEL_ARGS,
-                    lambda args: network.compile_channel(_channel_from_args(args)).to_json(),
+    "compile": Verb("compile to the simulation network", _CHANNEL_ARGS, _compile,
                     ("compile_channel",)),
     "run": Verb("execute a channel on a state", _CHANNEL_ARGS | {
         "--state": dict(type=float, nargs=3, default=(0.0, 0.0, 1.0), metavar=("SX", "SY", "SZ")),
@@ -198,18 +207,22 @@ VERBS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv=()) -> _Parser:
+    """Every verb's subparser, so usage, help and errors read the same, but arguments only
+    for the first verb name in argv (no top-level option takes a value), or all if none."""
     parser = _Parser(prog="qubitgeom")
     sub = parser.add_subparsers(dest="verb", required=True)
+    named = next((a for a in argv if a in VERBS), None)
     for name, verb in VERBS.items():
         p = sub.add_parser(name, help=verb.help)
-        for flag, kwargs in verb.arguments.items():
+        for flag, kwargs in verb.arguments.items() if named in (name, None) else ():
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         result = VERBS[args.verb].run(args)
@@ -223,8 +236,13 @@ def main(argv=None) -> int:
 
 
 def entry():
-    gc.freeze()  # the imports' objects live to exit: no collection, the exit's included, walks them
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 120  # the interpreter's own code for a failed flush at exit
+    os._exit(code)  # no interpreter teardown: atexit handlers do not run
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ step matrix is computed once per pinning pattern. The Pauli weights of eta are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyIntersection, OutsideCube, WeightsNotNormalized
+from .errors import EmptyIntersection, NonFiniteInput, OutsideCube, WeightsNotNormalized
 from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
 
 VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
@@ -42,6 +43,8 @@ _FACE_RHS = np.ones(4)
 NONCP_CORNERS = -VERTICES
 
 TRANSPOSE_ETA = np.array([1.0, -1.0, 1.0])
+for _a in (VERTICES, FACE_NORMALS, NONCP_CORNERS, TRANSPOSE_ETA):
+    _a.setflags(write=False)  # shared by every call (a split's corner is a row): keep them intact
 
 
 def in_D(eta) -> bool:
@@ -84,11 +87,16 @@ def _slack(p: np.ndarray) -> float:  # p: the weights of eta, or 4 Choi eigenval
 
 def mixture_to_eta(p) -> np.ndarray:
     """Convex (or affine) combination of the vertices; inverse of
-    pauli_weights."""
+    pauli_weights. NonFiniteInput if the weights' sum or the combination overflows."""
     p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
-    if abs(p.sum() - 1.0) > ROUND_TOL:
-        raise WeightsNotNormalized(f"weights sum to {p.sum()}, expected 1")
-    return VERTICES.T @ p
+    total = sum(p.tolist())  # numpy's order, in Python floats: an overflow gives inf, not a warning
+    if math.isinf(total):
+        raise NonFiniteInput("the weights' sum overflows")
+    if abs(total - 1.0) > ROUND_TOL:
+        raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or nan: refused below
+        eta = VERTICES.T @ p
+    return _real(eta, "the combination of the vertices")
 
 
 def compose(a, b) -> np.ndarray:
@@ -130,6 +138,9 @@ def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarra
     """
     if max(map(abs, y.tolist())) > 1e6:
         raise OutsideCube(f"eta {y} too far from D to project (max |eta_k| > 1e6)")
+    # a candidate in D meets its pins to FACE_TOL: none meets one past 2, which could overflow
+    if len(r) > 4 and max(map(abs, r.tolist())) > 2.0:
+        raise EmptyIntersection("constraint slice does not meet the tetrahedron")
     G, W, own = _steps(free)
     X = y - W.dot(G.dot(y) - r).reshape(-1, 3)
     resid = X.dot(G.T) - r

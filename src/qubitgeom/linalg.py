@@ -28,6 +28,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
+for _a in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS):
+    _a.setflags(write=False)  # shared by every call: a caller's write would reach them all
 
 
 def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:

@@ -1,5 +1,7 @@
-import gc
+import ast
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,20 @@ def test_huge_state_error_is_one_json_object():
                    check=False)
     assert proc.returncode == 2
     assert json.loads(proc.stderr) == {"error": "UnphysicalBloch", "message": "|s| = 1e+155 exceeds 1"}
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["weights", "--from-p", "1e308", "-1e308", "0.5", "0.5"], "NonFiniteInput"),
+    (["weights", "--from-p", "1e308", "1e308", "-1e308", "-1e308"], "NonFiniteInput"),
+    (["project", "--catalog", "depolarize:0.5", "--fix", "x=1e300"], "EmptyIntersection"),
+    (["project", "--catalog", "depolarize:0.5", "--fix", "x=1.7e308"], "EmptyIntersection"),
+])
+def test_overflowing_input_error_is_one_json_object(argv, error):
+    """Under -W error any numpy warning would end the process first: stderr holds the JSON error alone."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "qubitgeom.cli", *argv],
+                          capture_output=True)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1 and json.loads(proc.stderr)["error"] == error
 
 
 def test_golden_values():
@@ -351,32 +367,116 @@ def test_bad_matrix_shape_exit_code(tmp_path):
     assert json.loads(proc.stderr)["error"] == "BadDimension"
 
 
-@pytest.fixture
-def events(monkeypatch):
-    """Each gc.freeze call, recorded in place of freezing the test process."""
-    seen = []
-    monkeypatch.setattr(gc, "freeze", lambda: seen.append("freeze"))
-    return seen
-
-
-def test_entry_freezes_once_before_main(events, monkeypatch, capsys):
+def test_entry_exits_with_mains_code(monkeypatch, capsys):
+    events = []
     main = cli.main
     monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or main(argv))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("exit", code)))  # not the test process
     monkeypatch.setattr(sys, "argv", ["qubitgeom", "check", "--eta", "-1", "-1", "-1"])
-    with pytest.raises(SystemExit) as done:
-        cli.entry()
-    assert done.value.code == 0 and events == ["freeze", "main"]
+    cli.entry()
+    assert events == ["main", ("exit", 0)]
     assert capsys.readouterr().out == (GOLDEN_DIR / "check_universal_not.json").read_text()
 
 
-def test_main_never_freezes(events, capsys):
-    assert cli.main(["check", "--eta", "-1", "-1", "-1"]) == 0
-    assert cli.main(["check", "--eta", "2", "0", "0", "--catalog", "pancake"]) == 2
-    assert events == []
+class _FailingStream(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_entry_failed_flush_exits_nonzero(stream, monkeypatch):
+    """entry ends the process without teardown, so the interpreter's exit flush
+    never runs: a flush that fails in entry exits 120, as that one would."""
+    codes = []
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr(sys, stream, _FailingStream())
+    monkeypatch.setattr(sys, "argv", ["qubitgeom", "check", "--eta", "-1", "-1", "-1"])
+    cli.entry()
+    assert codes == [120]
+
+
+def test_closed_stdout_exits_nonzero():
+    """A reader that has gone away: the flush of the buffered answer fails with
+    EPIPE, and the exit code says so."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "qubitgeom.cli", "check", "--eta", "0", "0", "0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 120
+
+
+def test_import_loads_only_the_core_modules():
+    """import qubitgeom loads errors, linalg, geometry and channel (and numpy); the
+    other modules and their names load on first access, and dir() lists them all."""
+    script = """if True:
+        import sys
+        import qubitgeom as qg
+        lazy = ["qubitgeom.dynamics", "qubitgeom.network", "qubitgeom.qkd", "qubitgeom.serialize"]
+        assert "numpy" in sys.modules
+        assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)
+        public = [n for n in dir(qg) if not n.startswith("_")]
+        submodules = ["channel", "dynamics", "errors", "geometry", "linalg", "network", "qkd", "serialize"]
+        assert public == sorted(qg.__all__ + submodules), public
+        assert len(set(qg.__all__)) == len(qg.__all__) == 55
+        from qubitgeom import network
+        assert "qubitgeom.qkd" not in sys.modules and qg.compile_channel is network.compile_channel
+        for name in qg.__all__:  # each the object its defining module holds
+            obj = getattr(qg, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        for name in submodules:
+            assert getattr(qg, name) is sys.modules["qubitgeom." + name], name
+        assert [n for n in dir(qg) if not n.startswith("_")] == public
+        try:
+            qg.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == "module 'qubitgeom' has no attribute 'no_such_name'"
+        else:
+            raise AssertionError("qg.no_such_name resolved")
+    """
+    subprocess.run([sys.executable, "-c", script], check=True)
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
+def test_cli_process_imports_one_verb_module(verb):
+    """Each verb loads at most one of dynamics, network and qkd."""
+    argv = [verb, *_VERB_ARGVS[verb][0]]
+    script = ("import sys\nfrom qubitgeom import cli\ncli.main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m in "
+              "('qubitgeom.dynamics', 'qubitgeom.network', 'qubitgeom.qkd')))")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          check=True)
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert loaded == {"compile": ["qubitgeom.network"], "run": ["qubitgeom.network"],
+                      "dynamics": ["qubitgeom.dynamics"], "design": ["qubitgeom.dynamics"],
+                      "qkd": ["qubitgeom.qkd"]}.get(verb, [])
+
+
+def _help_and_errors(parser, verb):
+    """The verb's help text and the errors of a few bad argvs, as main reports them."""
+    sub = parser._subparsers._group_actions[0].choices[verb]
+    errors = []
+    for argv in ([verb, "--bogus"], [verb], [verb, "--eta", "1"], ["--bogus", verb, "--eta", "1", "1", "1"]):
+        try:
+            parser.parse_args(argv)
+            errors.append(None)
+        except cli._ArgumentError as exc:
+            errors.append(str(exc))
+    return sub.format_help(), parser.format_help(), errors
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
+def test_parser_for_one_verb_reads_as_the_full_parser(verb):
+    """_build_parser adds arguments only for the verb argv names; the usage, the
+    help and the errors of that verb are those of the parser with every verb's."""
+    full, narrow = cli._build_parser(), cli._build_parser(["--bogus", verb, "check"])
+    assert _help_and_errors(narrow, verb) == _help_and_errors(full, verb)
+    for name, sub in narrow._subparsers._group_actions[0].choices.items():
+        assert len(sub._actions) == 1 + (name == verb) * len(cli.VERBS[verb].arguments)  # -h
 
 
 def test_frozen_process_loses_nothing_at_exit(capsys):
-    """python -m qubitgeom.cli runs entry(): its output equals main()'s in process."""
+    """python -m qubitgeom.cli runs entry(), which ends the process without
+    teardown: its output equals main()'s in process, to the last byte."""
     argv = ["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--steps", "20000"]
     assert cli.main(argv) == 0
     proc = run_cli(*argv)

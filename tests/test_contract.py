@@ -28,8 +28,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import qubitgeom as qg
 from qubitgeom import cli, geometry
-from qubitgeom.errors import (BadDimension, DisturbanceOutOfRange, NonFiniteInput, QubitGeomError,
-                              UnphysicalBloch, WeightsNotNormalized)
+from qubitgeom.errors import (BadDimension, DisturbanceOutOfRange, EmptyIntersection, NonFiniteInput,
+                              QubitGeomError, UnphysicalBloch, WeightsNotNormalized)
 
 SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -301,7 +301,9 @@ def test_valid_extreme_magnitude(m):
     that itself overflows (a product, a trace, an eigenvalue times t) raises
     NonFiniteInput, and nothing warns."""
     for call in (lambda: qg.partial_trace_ancilla(m * np.eye(8)), lambda: qg.compose([m] * 3, [m] * 3),
-                 lambda: qg.unitary_exp(np.diag([m, -m]), 1e10)):
+                 lambda: qg.unitary_exp(np.diag([m, -m]), 1e10),
+                 lambda: qg.mixture_to_eta([m, -m, 0.5, 0.5]),  # unit sum, eta_y = 2m
+                 lambda: qg.mixture_to_eta([m, m, -m, -m])):  # the sum overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInput):
@@ -318,6 +320,18 @@ def test_valid_extreme_magnitude(m):
             _valid(fn, eta)
         for protocol in qg.Protocol:
             _valid(qg.success_probability, protocol, eta)
+
+
+@pytest.mark.parametrize("v", [1e300, -1e300, 1.7e308, -1.7e308])
+def test_pin_far_beyond_the_cube_is_empty(v):
+    """A pinned coordinate far outside [-1, 1] cannot meet D: EmptyIntersection
+    before any arithmetic that could overflow, and no warning."""
+    for free in ([False, True, True], [True, True, False], [False, False, True]):
+        pins = [v] + [0.0] * (free.count(False) - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyIntersection):
+                qg.project_constrained([0.5, 0.5, 0.5], free, pins)
 
 
 @pytest.mark.parametrize("d", [0.0, 1 / 3, 0.5])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qubitgeom as qg
-from qubitgeom import geometry
+from qubitgeom import geometry, linalg
 from qubitgeom.errors import (BadDimension, EmptyIntersection, NonFiniteInput,
                               OutsideCube, WeightsNotNormalized)
 from qubitgeom.linalg import FACE_TOL
@@ -153,6 +153,21 @@ def test_mixture_to_eta_rejects_unnormalised():
         qg.mixture_to_eta(np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(NonFiniteInput):
         qg.mixture_to_eta([np.nan, 0.0, 0.0, 1.0])
+
+
+def test_mixture_to_eta_unit_sum_bits_locked(rng):
+    """The unit-sum test reads numpy's sum of the weights, bit for bit, at the tolerance's edge."""
+    from qubitgeom.linalg import ROUND_TOL
+
+    for _ in range(2000):
+        p = rng.dirichlet(np.ones(4)) * (1.0 + rng.choice([-1, 1]) * ROUND_TOL * rng.uniform(0.5, 1.5))
+        p[rng.integers(4)] *= float(10.0 ** rng.integers(-20, 3))
+        total = np.sum(p)
+        if abs(total - 1.0) > ROUND_TOL:
+            with pytest.raises(WeightsNotNormalized, match=f"^weights sum to {total}, expected 1$"):
+                qg.mixture_to_eta(p)
+        else:
+            assert qg.mixture_to_eta(p).tobytes() == (geometry.VERTICES.T @ p).tobytes()
 
 
 # ------------------------------------------------------------ projection
@@ -310,6 +325,18 @@ def test_project_constrained_empty_slice():
         qg.project_constrained([0, 0, 0], [False, True, True], [2.0])
 
 
+def test_project_constrained_pin_tolerance():
+    """A candidate meets its pins and D's faces each to FACE_TOL, so a pin just
+    past 1 + FACE_TOL can still be met, and one past 1 + 2 FACE_TOL cannot."""
+    for sign in (1.0, -1.0):
+        pin = sign * (1 + 1.5 * FACE_TOL)
+        eta = qg.project_constrained([0, 0, 0], [False, True, True], [pin])
+        assert abs(eta[0] - pin) <= FACE_TOL and qg.in_D(eta)
+        for v in (1 + 2.5 * FACE_TOL, 1.5, 2.0, np.nextafter(2.0, 3.0), 1e6):
+            with pytest.raises(EmptyIntersection):
+                qg.project_constrained([0, 0, 0], [False, True, True], [sign * v])
+
+
 # ----------------------------------------------------------- composition
 
 def test_compose():
@@ -331,6 +358,23 @@ def test_corner_transpose_identities():
 
 
 # -------------------------------------------------- positive-map splitting
+
+def test_constants_read_only():
+    """The module constants are shared by every call: a write raises, and a split
+    whose corner a caller tried to change comes out the same the next time."""
+    first = qg.sw_decompose([-0.9, -0.8, -0.7])
+    with pytest.raises(ValueError, match="read-only"):
+        first.corner[0] = 5.0
+    for constant in (geometry.VERTICES, geometry.FACE_NORMALS, geometry.NONCP_CORNERS,
+                     geometry.TRANSPOSE_ETA, linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z,
+                     linalg.PAULIS):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 0.0
+    again = qg.sw_decompose([-0.9, -0.8, -0.7])
+    for name in ("p", "cp1", "corner", "cp2"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+    assert again.p == 0.3 and np.array_equal(again.corner, [-1.0, -1.0, -1.0])
+
 
 def test_sw_decompose_corner():
     dec = qg.sw_decompose([-1, -1, -1])
