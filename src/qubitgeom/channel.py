@@ -204,9 +204,16 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
     return _trusted(AffineChannel, A=np.diag(eta), b=np.zeros(3))  # from_eta without its check
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def channel_from_json(obj) -> AffineChannel:
     """Parse the shared JSON channel schema. Raises BadDimension for a value
-    that is not an object with 3 numbers under "eta", or numeric "A" and "b"."""
+    that is not an object with 3 numbers under "eta", or numeric "A" and "b";
+    a JSON boolean is not a number, though numpy would read it as 0 or 1."""
+    if isinstance(obj, dict) and _holds_bool([obj.get(key) for key in ("eta", "A", "b")]):
+        raise BadDimension("eta, A and b must hold numbers, not JSON booleans")
     if isinstance(obj, dict) and "eta" in obj:
         eta = obj["eta"]
         if not (isinstance(eta, list) and all(isinstance(v, (int, float)) for v in eta)):

@@ -6,8 +6,8 @@ such as apply, have no verb. A channel comes from exactly one of --eta X Y Z,
 --in FILE.json and --catalog NAME; two sources exit 2. Results go to stdout
 as JSON (or CSV for trajectories) with floats at 17 significant digits; a
 malformed value or a validation failure exits with code 2 and a JSON error
-object on stderr. A process builds only its verb's arguments, imports dynamics,
-network or qkd only if the verb runs them, and skips interpreter teardown.
+object on stderr. Library calls go through the package, so dynamics, network and
+qkd load only for their verbs; no teardown runs, and a failed write exits 120.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel as qchannel
-from . import geometry, linalg, serialize
-from .errors import QubitGeomError
+import qubitgeom as qg
 
 MAX_STEPS = 100_000  # a dynamics CSV of at most about 8 MB
 
@@ -68,16 +66,16 @@ _CHANNEL_ARGS = {
 }
 
 
-def _channel_from_args(args) -> qchannel.AffineChannel:
+def _channel_from_args(args) -> qg.channel.AffineChannel:
     sources = [s for s in (args.infile, args.eta, args.catalog) if s is not None]
     if len(sources) != 1:
         raise _ArgumentError("provide exactly one of --in, --eta, --catalog")
     if args.infile is not None:
         with open(args.infile) as fh:
-            return qchannel.channel_from_json(json.load(fh))
+            return qg.channel.channel_from_json(json.load(fh))
     if args.eta is not None:
-        return qchannel.AffineChannel.from_eta(args.eta)
-    return qchannel.catalog(*args.catalog)
+        return qg.channel.AffineChannel.from_eta(args.eta)
+    return qg.channel.catalog(*args.catalog)
 
 
 def _eta_from_args(args) -> np.ndarray:
@@ -88,71 +86,63 @@ def _eta_from_args(args) -> np.ndarray:
 
 
 def _check(args):
-    flag, min_eig = qchannel.is_cp(_channel_from_args(args))
+    flag, min_eig = qg.channel.is_cp(_channel_from_args(args))
     return {"cp": flag, "min_eigenvalue": min_eig}
 
 
 def _weights(args):
     if args.from_p is not None:
-        return {"eta": geometry.mixture_to_eta(args.from_p)}
-    mix = geometry.pauli_weights(_eta_from_args(args))
+        return {"eta": qg.geometry.mixture_to_eta(args.from_p)}
+    mix = qg.geometry.pauli_weights(_eta_from_args(args))
     return {"p": mix.p, "signed": mix.signed}
 
 
 def _project(args):
     eta = _eta_from_args(args)
     if not args.fix:
-        return {"eta": geometry.project_to_D(eta)}
+        return {"eta": qg.geometry.project_to_D(eta)}
     fixed = dict(args.fix)
     free = [axis not in fixed for axis in range(3)]
     fixed_vals = [fixed[axis] for axis in sorted(fixed)]
-    return {"eta": geometry.project_constrained(eta, free, fixed_vals)}
-
-
-def _compile(args):
-    from . import network
-    return network.compile_channel(_channel_from_args(args)).to_json()
+    return {"eta": qg.geometry.project_constrained(eta, free, fixed_vals)}
 
 
 def _run(args):
-    from . import network
-    spec = network.compile_channel(_channel_from_args(args))
-    rho0 = qchannel.bloch_to_density(args.state)
+    spec = qg.network.compile_channel(_channel_from_args(args))
+    rho0 = qg.channel.bloch_to_density(args.state)
     if args.n is None:
-        rho = network.run_exact(spec, rho0)
-        return {"bloch": qchannel.density_to_bloch(rho)}
-    rho, stderr = network.run_sampled(spec, rho0, args.n, args.seed)
-    return {"bloch": qchannel.density_to_bloch(rho), "stderr": stderr,
+        rho = qg.network.run_exact(spec, rho0)
+        return {"bloch": qg.channel.density_to_bloch(rho)}
+    rho, stderr = qg.network.run_sampled(spec, rho0, args.n, args.seed)
+    return {"bloch": qg.channel.density_to_bloch(rho), "stderr": stderr,
             "n": args.n, "seed": args.seed, "generator": "numpy-pcg64"}
 
 
 def _dynamics(args):
-    from . import dynamics
-    spec = dynamics.CouplingSpec.from_alpha2(args.alpha2)
+    spec = qg.dynamics.CouplingSpec.from_alpha2(args.alpha2)
     if args.oracle_state is not None:
         if args.t is None:
             raise _ArgumentError("--oracle-state requires --t")
-        rho0 = qchannel.bloch_to_density(args.oracle_state)
-        rho = dynamics.simulate_reduced(spec, args.t, rho0)
-        return {"bloch": qchannel.density_to_bloch(rho),
-                "eta": dynamics.eta_of_t(spec, args.t)}
+        rho0 = qg.channel.bloch_to_density(args.oracle_state)
+        rho = qg.dynamics.simulate_reduced(spec, args.t, rho0)
+        return {"bloch": qg.channel.density_to_bloch(rho),
+                "eta": qg.dynamics.eta_of_t(spec, args.t)}
     if not 1 <= args.steps <= MAX_STEPS:
         raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
-    grid = np.linspace(0.0, linalg._real(args.tmax, "--tmax", ()), args.steps + 1)
-    return dynamics.trajectory_to_csv(dynamics.trajectory(spec, grid))
+    grid = np.linspace(0.0, qg.linalg._real(args.tmax, "--tmax", ()), args.steps + 1)
+    return qg.dynamics.trajectory_to_csv(qg.dynamics.trajectory(spec, grid))
 
 
 def _design(args):
-    from . import dynamics
-    spec, t = dynamics.design_coupling(args.eta)
+    spec, t = qg.dynamics.design_coupling(args.eta)
     return {"alpha": spec.alpha, "alpha2": spec.alpha**2, "t": t}
 
 
 def _qkd(args):
-    from . import qkd
-    report = qkd.optimal_attack(args.protocol, args.dmax).to_json()
+    report = qg.qkd.optimal_attack(args.protocol, args.dmax).to_json()
     if args.grid_resolution is not None:
-        report["grid_eta"] = qkd.brute_force_optimum(args.protocol, args.dmax, args.grid_resolution)
+        report["grid_eta"] = qg.qkd.brute_force_optimum(args.protocol, args.dmax,
+                                                         args.grid_resolution)
     return report
 
 
@@ -166,7 +156,7 @@ class Verb(NamedTuple):
 VERBS = {
     "check": Verb("complete-positivity test", _CHANNEL_ARGS, _check, ("is_cp",)),
     "choi": Verb("trace-1 Choi matrix", _CHANNEL_ARGS,
-                 lambda args: {"choi": qchannel.choi(_channel_from_args(args))}, ("choi",)),
+                 lambda args: {"choi": qg.channel.choi(_channel_from_args(args))}, ("choi",)),
     "weights": Verb("Pauli mixture weights of a diagonal map", _CHANNEL_ARGS | {
         "--from-p": dict(type=float, nargs=4, metavar=("PI", "PX", "PY", "PZ"),
                          help="invert: eta of a given mixture"),
@@ -176,9 +166,10 @@ VERBS = {
                       help="pin a coordinate, e.g. --fix z=0"),
     }, _project, ("project_to_D", "project_constrained")),
     "canon": Verb("rotation-diagonal-rotation form", _CHANNEL_ARGS,
-                  lambda args: asdict(qchannel.canonical_form(_channel_from_args(args))),
+                  lambda args: asdict(qg.channel.canonical_form(_channel_from_args(args))),
                   ("canonical_form",)),
-    "compile": Verb("compile to the simulation network", _CHANNEL_ARGS, _compile,
+    "compile": Verb("compile to the simulation network", _CHANNEL_ARGS,
+                    lambda args: qg.network.compile_channel(_channel_from_args(args)).to_json(),
                     ("compile_channel",)),
     "run": Verb("execute a channel on a state", _CHANNEL_ARGS | {
         "--state": dict(type=float, nargs=3, default=(0.0, 0.0, 1.0), metavar=("SX", "SY", "SZ")),
@@ -202,45 +193,41 @@ VERBS = {
         "--grid-resolution": dict(type=float, help="also cross-check with the grid-search oracle"),
     }, _qkd, ("optimal_attack", "brute_force_optimum")),
     "sw": Verb("CP + CP-after-transpose decomposition", _CHANNEL_ARGS,
-               lambda args: asdict(geometry.sw_decompose(_eta_from_args(args))),
+               lambda args: asdict(qg.geometry.sw_decompose(_eta_from_args(args))),
                ("sw_decompose",)),
 }
 
 
-def _build_parser(argv=()) -> _Parser:
-    """Every verb's subparser, so usage, help and errors read the same, but arguments only
-    for the first verb name in argv (no top-level option takes a value), or all if none."""
+def _build_parser() -> _Parser:
     parser = _Parser(prog="qubitgeom")
     sub = parser.add_subparsers(dest="verb", required=True)
-    named = next((a for a in argv if a in VERBS), None)
     for name, verb in VERBS.items():
         p = sub.add_parser(name, help=verb.help)
-        for flag, kwargs in verb.arguments.items() if named in (name, None) else ():
+        for flag, kwargs in verb.arguments.items():
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         result = VERBS[args.verb].run(args)
     except Exception as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(serialize.dumps(err) + "\n")
-        bad_input = (_ArgumentError, QubitGeomError, OSError, json.JSONDecodeError)
+        sys.stderr.write(qg.serialize.dumps(err) + "\n")
+        bad_input = (_ArgumentError, qg.QubitGeomError, OSError, json.JSONDecodeError)
         return 2 if isinstance(exc, bad_input) else 1  # else an internal fault
-    sys.stdout.write(result if isinstance(result, str) else serialize.dumps(result) + "\n")
+    sys.stdout.write(result if isinstance(result, str) else qg.serialize.dumps(result) + "\n")
     return 0
 
 
 def entry():
-    code = main()
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
+    except OSError:  # a write or flush into a closed pipe
         code = 120  # the interpreter's own code for a failed flush at exit
     os._exit(code)  # no interpreter teardown: atexit handlers do not run
 

@@ -298,6 +298,11 @@ def test_is_positive_unital():
         qg.is_positive_unital(qg.AffineChannel(np.eye(3), [0.1, 0, 0]))
 
 
+def test_canonical_form_rejects_non_unital():
+    with pytest.raises(NotUnital, match="requires a unital channel"):
+        qg.canonical_form(qg.AffineChannel(np.eye(3) / 2, [0.1, 0, 0]))
+
+
 def test_is_positive_unital_rotation(rng):
     ch = qg.AffineChannel(random_rotation(rng), np.zeros(3))
     assert qg.is_positive_unital(ch)

@@ -64,6 +64,12 @@ def test_overflowing_input_error_is_one_json_object(argv, error):
     assert proc.stderr.count(b"\n") == 1 and json.loads(proc.stderr)["error"] == error
 
 
+def test_dumps_null_and_unknown_type():
+    assert qg.serialize.dumps(None) == "null"
+    with pytest.raises(TypeError, match="cannot serialize"):
+        qg.serialize.dumps(object())
+
+
 def test_golden_values():
     # the committed bytes encode the expected numbers
     obj = json.loads((GOLDEN_DIR / "check_universal_not.json").read_text())
@@ -348,6 +354,9 @@ def test_dynamics_rejects_empty_grid(steps):
     (["check", "--in", '"eta"'], "BadDimension"),
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-inf", "--steps", "4"],
      "NonFiniteInput"),  # no numpy warning before the one JSON object on stderr
+    (["check", "--in", '{"eta": [true, false, 0]}'], "BadDimension"),  # numpy reads 1, 0
+    (["canon", "--in", '{"A": [[true, 0, 0], [0, true, 0], [0, 0, false]], "b": [false, 0, 0]}'],
+     "BadDimension"),
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content
@@ -396,13 +405,19 @@ def test_entry_failed_flush_exits_nonzero(stream, monkeypatch):
 
 
 def test_closed_stdout_exits_nonzero():
-    """A reader that has gone away: the flush of the buffered answer fails with
-    EPIPE, and the exit code says so."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "qubitgeom.cli", "check", "--eta", "0", "0", "0"],
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 120
+    """A reader that has gone away: the flush of the buffered answer, or the write
+    itself under PYTHONUNBUFFERED, fails with EPIPE; the process exits 120 and
+    prints no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for unbuffered in ("", "1"):  # an empty PYTHONUNBUFFERED counts as unset
+            proc = subprocess.run([sys.executable, "-m", "qubitgeom.cli", "check", "--eta", "0", "0", "0"],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                                  env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+            assert (proc.returncode, proc.stderr) == (120, b""), unbuffered
+    finally:
+        os.close(write_end)
 
 
 def test_import_loads_only_the_core_modules():
@@ -449,29 +464,6 @@ def test_cli_process_imports_one_verb_module(verb):
     assert loaded == {"compile": ["qubitgeom.network"], "run": ["qubitgeom.network"],
                       "dynamics": ["qubitgeom.dynamics"], "design": ["qubitgeom.dynamics"],
                       "qkd": ["qubitgeom.qkd"]}.get(verb, [])
-
-
-def _help_and_errors(parser, verb):
-    """The verb's help text and the errors of a few bad argvs, as main reports them."""
-    sub = parser._subparsers._group_actions[0].choices[verb]
-    errors = []
-    for argv in ([verb, "--bogus"], [verb], [verb, "--eta", "1"], ["--bogus", verb, "--eta", "1", "1", "1"]):
-        try:
-            parser.parse_args(argv)
-            errors.append(None)
-        except cli._ArgumentError as exc:
-            errors.append(str(exc))
-    return sub.format_help(), parser.format_help(), errors
-
-
-@pytest.mark.parametrize("verb", sorted(_VERB_ARGVS))
-def test_parser_for_one_verb_reads_as_the_full_parser(verb):
-    """_build_parser adds arguments only for the verb argv names; the usage, the
-    help and the errors of that verb are those of the parser with every verb's."""
-    full, narrow = cli._build_parser(), cli._build_parser(["--bogus", verb, "check"])
-    assert _help_and_errors(narrow, verb) == _help_and_errors(full, verb)
-    for name, sub in narrow._subparsers._group_actions[0].choices.items():
-        assert len(sub._actions) == 1 + (name == verb) * len(cli.VERBS[verb].arguments)  # -h
 
 
 def test_frozen_process_loses_nothing_at_exit(capsys):

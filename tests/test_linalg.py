@@ -296,9 +296,11 @@ def test_require_hermitian_matches_numpy_form(n, rng):
 
 
 def test_require_hermitian_overflow_is_a_verdict():
-    """A deviation past the largest double is NonHermitianInput, without a warning."""
+    """A deviation past the largest double is NonHermitianInput, without a warning:
+    the subtraction overflows, or abs of a finite difference does."""
     for M, dev in (([[0.0, 1e308], [-1e308, 0.0]], "inf"),
-                   ([[0.0, 1e308 + 1e308j], [0.0, 0.0]], "1.414e+308")):
+                   ([[0.0, 1e308 + 1e308j], [0.0, 0.0]], "1.414e+308"),
+                   ([[0.0, 1.7e308 + 1.7e308j], [0.0, 0.0]], "inf")):
         with pytest.raises(NonHermitianInput) as info:
             linalg.require_hermitian(M)
         assert str(info.value) == f"Hermitian deviation {dev} exceeds 1.0e-12"
