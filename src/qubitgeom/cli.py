@@ -7,7 +7,7 @@ such as apply, have no verb. A channel comes from exactly one of --eta X Y Z,
 as JSON (or CSV for trajectories) with floats at 17 significant digits; a
 malformed value or a validation failure exits with code 2 and a JSON error
 object on stderr. Library calls go through the package, so dynamics, network and
-qkd load only for their verbs; no teardown runs, and a failed write exits 120.
+qkd load only for their verbs; no teardown runs; a failed write (-h's help too) exits 120.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ class _ArgumentError(Exception):
     pass
 
 
+class _Help(Exception):  # -h: the help text is the answer, written by main
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -41,6 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ArgumentError(message)
+
+    def print_help(self, file=None):  # argparse's own drops a failed write and exits 0
+        raise _Help(self.format_help())
 
 
 def _catalog_entry(text: str) -> tuple[str, float | None]:
@@ -72,7 +79,11 @@ def _channel_from_args(args) -> qg.channel.AffineChannel:
         raise _ArgumentError("provide exactly one of --in, --eta, --catalog")
     if args.infile is not None:
         with open(args.infile) as fh:
-            return qg.channel.channel_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not UTF-8, or an int past the digit limit
+                raise exc if isinstance(exc, json.JSONDecodeError) else _ArgumentError(f"--in: {exc}")
+        return qg.channel.channel_from_json(data)
     if args.eta is not None:
         return qg.channel.AffineChannel.from_eta(args.eta)
     return qg.channel.catalog(*args.catalog)
@@ -213,6 +224,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         result = VERBS[args.verb].run(args)
+    except _Help as exc:
+        result = str(exc)
     except Exception as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(qg.serialize.dumps(err) + "\n")
@@ -225,9 +238,9 @@ def main(argv=None) -> int:
 def entry():
     try:
         code = main()
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:  # a write or flush into a closed pipe
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: its fd was closed
+            stream.flush()
+    except (OSError, AttributeError):  # a write into a closed pipe, or to a None stream
         code = 120  # the interpreter's own code for a failed flush at exit
     os._exit(code)  # no interpreter teardown: atexit handlers do not run
 

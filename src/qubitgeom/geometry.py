@@ -37,7 +37,6 @@ VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.
 # (identity, R_x, R_y, R_z) and n . eta = 1 - 4 * weight_k.
 FACE_NORMALS = -VERTICES
 _WEIGHT_STEP = -FACE_NORMALS.T / 4.0  # column k: d weight_k / d eta
-_FACE_RHS = np.ones(4)
 
 # Cube corners outside D; corner k is the antipode of vertex k.
 NONCP_CORNERS = -VERTICES
@@ -106,46 +105,38 @@ def compose(a, b) -> np.ndarray:
 
 
 @cache
-def _steps(free: tuple[bool, bool, bool]):
+def _steps(free: tuple[bool, bool, bool]) -> np.ndarray:
     """KKT steps for the slice whose pinned coordinates are ~free.
 
-    G stacks the pinning rows and the face normals; active sets k run smallest
-    first, so the first of two equally near candidates wins. Rows 3k..3k+2 of
-    W hold the step G_k^T (G_k G_k^T)^-1 of set k (pinv if its rows G_k are
-    dependent), zero-padded to len(G) columns; own[k] is -1 on G_k, else 0.
+    G is FACE_NORMALS with the pinned columns zeroed, so no step moves a pin.
+    Active sets k run smallest first, so the first of two equally near
+    candidates wins; a set whose rows G_k are dependent is left out, as an
+    independent subset carries its KKT multipliers. Rows 3k..3k+2 hold the step
+    G_k^T (G_k G_k^T)^-1 of kept set k, zero-padded to 4 columns.
     """
-    pins = np.eye(3)[~np.array(free)]
-    G = np.vstack([pins, FACE_NORMALS])
-    sets = [a for size in range(4) for a in combinations(range(4), size)]
-    W = np.zeros((len(sets), 3, len(G)))
-    for k, active in enumerate(sets):
-        idx = list(range(len(pins))) + [len(pins) + f for f in active]
-        if idx:
-            Gk = G[idx]
-            dependent = np.linalg.matrix_rank(Gk) < len(idx)
-            W[k][:, idx] = np.linalg.pinv(Gk) if dependent else Gk.T @ np.linalg.inv(Gk @ Gk.T)
-    return G, W.reshape(-1, len(G)), -W.any(axis=1).astype(float)
+    G, W = FACE_NORMALS * free, []
+    for size in range(4):
+        for active in map(list, combinations(range(4), size)):
+            Gk = G[active]
+            if np.linalg.matrix_rank(Gk) == size:
+                W.append(np.zeros((3, 4)))
+                W[-1][:, active] = Gk.T @ np.linalg.inv(Gk @ Gk.T)
+    return np.concatenate(W)
 
 
-def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool], r: np.ndarray) -> np.ndarray:
-    """Nearest point to y of D on the slice {eta[~free] = r[:-4]}; r[-4:] is _FACE_RHS.
+def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool]) -> np.ndarray:
+    """Nearest point to y of D on the slice that holds y's coordinates ~free.
 
-    Takes the KKT step x_k = y - W_k (G y - r) for every active set k at once;
+    Takes the KKT step x_k = y - W_k (n . y - 1) for every active set k at once;
     the projection onto a nonempty convex polytope is among the candidates that
-    meet their own constraints and lie in D. Raises EmptyIntersection if none does,
-    and OutsideCube if max|y| > 1e6, where a candidate's rounding error, about
-    eps * |y|, starts to outgrow the absolute FACE_TOL it is checked against.
+    lie in D. Raises EmptyIntersection if none does, and OutsideCube if
+    max|y| > 1e6, where a candidate's rounding error, about eps * |y|, starts
+    to outgrow the absolute FACE_TOL it is checked against.
     """
     if max(map(abs, y.tolist())) > 1e6:
         raise OutsideCube(f"eta {y} too far from D to project (max |eta_k| > 1e6)")
-    # a candidate in D meets its pins to FACE_TOL: none meets one past 2, which could overflow
-    if len(r) > 4 and max(map(abs, r.tolist())) > 2.0:
-        raise EmptyIntersection("constraint slice does not meet the tetrahedron")
-    G, W, own = _steps(free)
-    X = y - W.dot(G.dot(y) - r).reshape(-1, 3)
-    resid = X.dot(G.T) - r
-    # |resid| <= FACE_TOL on the set's own rows, resid <= FACE_TOL on the others
-    worst = np.maximum.reduce(np.maximum(resid, resid * own), axis=1).tolist()
+    X = y - _steps(free).dot(FACE_NORMALS.dot(y) - 1.0).reshape(-1, 3)
+    worst = np.maximum.reduce(X.dot(FACE_NORMALS.T) - 1.0, axis=1).tolist()
     d2 = np.add.reduce((X - y) ** 2, axis=1).tolist()
     best, best_d2 = None, np.inf
     for k, (w, d) in enumerate(zip(worst, d2)):
@@ -162,20 +153,27 @@ def project_to_D(eta) -> np.ndarray:
     The trace inner product on diagonal unital maps reduces to the
     Euclidean metric in eta-space, so this is the best-CP approximation.
     """
-    return _project_polytope(_real(eta, "eta", (3,)), (True, True, True), _FACE_RHS)
+    return _project_polytope(_real(eta, "eta", (3,)), (True, True, True))
 
 
 def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     """Nearest point of D within an axis-aligned affine slice.
 
     free_mask marks the coordinates allowed to vary; fixed_values pins the
-    remaining coordinates, in coordinate order. Raises EmptyIntersection
-    when the slice misses D.
+    remaining coordinates, in coordinate order. The pins replace those of eta,
+    only the free coordinates are solved for, and the result holds the pins
+    exactly. Raises EmptyIntersection when the slice misses D, before any
+    arithmetic for a pin beyond 2.
     """
     free = _real(free_mask, "free_mask", (3,)) != 0.0
-    fixed_vals = _real(fixed_values, "pinned values", (np.count_nonzero(~free),))
-    return _project_polytope(_real(eta, "eta", (3,)), tuple(free.tolist()),
-                             np.concatenate((fixed_vals, _FACE_RHS)))
+    pins = _real(fixed_values, "pinned values", (np.count_nonzero(~free),))
+    y = _real(eta, "eta", (3,)).copy()
+    if max(map(abs, pins.tolist()), default=0.0) > 2.0:
+        raise EmptyIntersection("constraint slice does not meet the tetrahedron")
+    y[~free] = pins
+    x = _project_polytope(y, tuple(free.tolist()))
+    x[~free] = pins  # a pin of -0.0 minus a zero step can come out +0.0
+    return x
 
 
 @dataclass(frozen=True)

@@ -357,11 +357,14 @@ def test_dynamics_rejects_empty_grid(steps):
     (["check", "--in", '{"eta": [true, false, 0]}'], "BadDimension"),  # numpy reads 1, 0
     (["canon", "--in", '{"A": [[true, 0, 0], [0, true, 0], [0, 0, false]], "b": [false, 0, 0]}'],
      "BadDimension"),
+    (["check", "--in", b"\xff"], "_ArgumentError"),  # not UTF-8
+    (["check", "--in", '{"eta": [' + "1" * 5000 + ', 0, 0]}'], "_ArgumentError"),  # past the int digit limit
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content
         f = tmp_path / "ch.json"
-        f.write_text(argv[-1])
+        content = argv[-1]
+        f.write_bytes(content) if isinstance(content, bytes) else f.write_text(content)
         argv = [*argv[:-1], str(f)]
     proc = run_cli(*argv, check=False)
     assert proc.returncode == 2 and proc.stdout == b""
@@ -418,6 +421,34 @@ def test_closed_stdout_exits_nonzero():
             assert (proc.returncode, proc.stderr) == (120, b""), unbuffered
     finally:
         os.close(write_end)
+
+
+def test_help_into_closed_pipe_exits_120():
+    """-h writes its help as the answer: into a pipe whose reader has gone away it
+    exits 120, like any failed write, buffered or not."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["-h"], ["check", "-h"]):
+            for unbuffered in ("", "1"):
+                proc = subprocess.run([sys.executable, "-m", "qubitgeom.cli", *argv],
+                                      stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                                      env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+                assert (proc.returncode, proc.stderr) == (120, b""), (argv, unbuffered)
+    finally:
+        os.close(write_end)
+
+
+def test_missing_stdout_exits_120():
+    """With file descriptor 1 closed, sys.stdout is None: an answer exits 120 with
+    no traceback, and an input error still exits 2 with its JSON on stderr."""
+    script = 'exec "$0" -m qubitgeom.cli "$@" >&-'
+    for argv, code in ((["check", "--eta", "0", "0", "0"], 120), (["check", "-h"], 120),
+                       (["check", "--eta", "x", "0", "0"], 2)):
+        proc = subprocess.run(["sh", "-c", script, sys.executable, *argv],
+                              capture_output=True, timeout=60)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert proc.stderr == b"" if code == 120 else json.loads(proc.stderr)["error"] == "_ArgumentError"
 
 
 def test_import_loads_only_the_core_modules():

@@ -371,6 +371,9 @@ CLI_CALLS = {
     "design": ("design --eta {0} -0.1 0.05", ["0.2"]),
     "qkd": ("qkd --protocol {0} --dmax {1} --grid-resolution {2}", ["four-state", "0.25", "0.01"]),
     "sw": ("sw --eta {0} -0.9 -0.9", ["-0.9"]),
+    "choi": ("choi --catalog depolarize:{0}", ["0.3"]),
+    "canon": ("canon --eta {0} -0.1 0.05", ["0.2"]),
+    "compile": ("compile --eta {0} -0.1 0.05", ["0.2"]),
 }
 _TEXTS = ["-1", "0", "1e-300", "nan", "-inf", "abc", "", "1e400", "2.5", "100000000000000000000000"]
 

@@ -1,4 +1,5 @@
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -37,6 +38,52 @@ def exact_project_oracle(eta):
             cands.append(a + u * (b - a) + v * (c - a))
     d = [np.sum((x - y) ** 2) for x in cands]
     return cands[int(np.argmin(d))]
+
+
+def _solve_exact(M, r):
+    """Solution of M z = r in Fractions by Gaussian elimination; None if M is singular."""
+    A = [list(row) + [v] for row, v in zip(M, r)]
+    n = len(A)
+    for c in range(n):
+        p = next((i for i in range(c, n) if A[i][c] != 0), None)
+        if p is None:
+            return None
+        A[c], A[p] = A[p], A[c]
+        for i in range(n):
+            if i != c and A[i][c] != 0:
+                f = A[i][c] / A[c][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
+    return [A[i][n] / A[i][i] for i in range(n)]
+
+
+def exact_constrained_oracle(eta, free, pins):
+    """Exact projection of eta onto D within the slice eta[~free] = pins, in
+    Fractions; None if the slice misses D. Each set S of faces whose normals are
+    independent on the free coordinates gives the nearest point of the slice on
+    those faces, x = b - G^T (G G^T)^-1 (G b - c), for b the point with the pins
+    written in, G the normals of S on the free coordinates and c their right-hand
+    sides less the pinned part; the answer is the nearest candidate in D."""
+    b = [Fraction(v) for v in eta]
+    for i, v in zip(np.flatnonzero(~free), pins):
+        b[i] = Fraction(v)
+    fi = np.flatnonzero(free)
+    normals = [[Fraction(int(v)) for v in n] for n in geometry.FACE_NORMALS]
+    best, best_d = None, None
+    for size in range(len(fi) + 1):
+        for S in combinations(normals, size):
+            G = [[n[j] for j in fi] for n in S]
+            lam = _solve_exact([[sum(u * v for u, v in zip(g, h)) for h in G] for g in G],
+                               [sum(n[j] * b[j] for j in range(3)) - 1 for n in S])
+            if lam is None:
+                continue
+            x = list(b)
+            for k, j in enumerate(fi):
+                x[j] -= sum(g[k] * l for g, l in zip(G, lam))
+            if all(sum(n[j] * x[j] for j in range(3)) <= 1 for n in normals):
+                d = sum((u - v) ** 2 for u, v in zip(x, b))
+                if best is None or d < best_d:
+                    best, best_d = x, d
+    return best
 
 
 def simplex_project_oracle(etas):
@@ -247,7 +294,7 @@ def test_project_constrained_vertex_optimality(rng):
         y = rng.uniform(-1.5, 1.5, 3)
         x = qg.project_constrained(y, free, fixed)
         assert face_slack(x) <= 1e-12
-        assert np.max(np.abs(x[~free] - fixed)) <= 1e-12
+        assert np.array_equal(x[~free], fixed)
         verts = _slice_vertices(free, fixed)
         assert np.max((verts - x) @ (y - x)) <= 1e-12
 
@@ -326,15 +373,56 @@ def test_project_constrained_empty_slice():
 
 
 def test_project_constrained_pin_tolerance():
-    """A candidate meets its pins and D's faces each to FACE_TOL, so a pin just
-    past 1 + FACE_TOL can still be met, and one past 1 + 2 FACE_TOL cannot."""
+    """Pins are substituted, not solved for: a pin within FACE_TOL / 2 of the
+    cube's face comes back bit for bit (the face slacks of (pin, 0, 0) are
+    FACE_TOL / 2), one past 1 + FACE_TOL misses D, and so do the far values."""
     for sign in (1.0, -1.0):
-        pin = sign * (1 + 1.5 * FACE_TOL)
+        pin = sign * (1 + 0.5 * FACE_TOL)
         eta = qg.project_constrained([0, 0, 0], [False, True, True], [pin])
-        assert abs(eta[0] - pin) <= FACE_TOL and qg.in_D(eta)
-        for v in (1 + 2.5 * FACE_TOL, 1.5, 2.0, np.nextafter(2.0, 3.0), 1e6):
+        assert eta.tobytes() == np.array([pin, 0.0, 0.0]).tobytes()
+        for v in (1 + 1.5 * FACE_TOL, 1 + 2.5 * FACE_TOL, 1.5, 2.0, np.nextafter(2.0, 3.0), 1e6):
             with pytest.raises(EmptyIntersection):
                 qg.project_constrained([0, 0, 0], [False, True, True], [sign * v])
+    with pytest.raises(EmptyIntersection):  # all pinned: the slice is the point, checked as in_D
+        qg.project_constrained([0, 0, 0], [False, False, False], [1.0, 1.0, 1 + 1.5 * FACE_TOL])
+
+
+def test_project_constrained_matches_exact_oracle():
+    """Over every pin pattern, the free coordinates are within 1e-15 of the exact
+    projection, the pins come back bit for bit, and a slice misses D exactly when
+    the exact oracle finds it empty."""
+    rng = np.random.default_rng(2121)
+    patterns = [np.array(f) for f in product((True, False), repeat=3) if not all(f)]
+    empty = 0
+    for k in range(300):
+        free = patterns[k % len(patterns)]
+        y, pins = rng.uniform(-1.6, 1.6, 3), rng.uniform(-1.05, 1.05, np.count_nonzero(~free))
+        exact = exact_constrained_oracle(y, free, pins)
+        if exact is None:
+            empty += 1
+            with pytest.raises(EmptyIntersection):
+                qg.project_constrained(y, free, pins)
+            continue
+        x = qg.project_constrained(y, free, pins)
+        assert x[~free].tobytes() == pins.tobytes()
+        assert max(abs(float(Fraction(v) - e)) for v, e in zip(x.tolist(), exact)) <= 1e-15
+    assert 0 < empty < 100
+
+
+def test_project_constrained_keeps_negative_zero_pin():
+    for free, pins in (([True, True, False], [-0.0]), ([False, True, False], [-0.0, -0.0]),
+                       ([False, False, False], [-0.0, 0.5, -0.0])):
+        x = qg.project_constrained([0.9, -0.9, 0.3], free, pins)
+        assert x[~np.array(free)].tobytes() == np.array(pins).tobytes()
+
+
+def test_project_constrained_ignores_far_pinned_coordinate():
+    """A pinned coordinate of eta is replaced by its pin before any arithmetic,
+    so a value beyond the 1e6 projection limit does not matter."""
+    for far in (1e7, -1e300, 1.7e308):
+        x = qg.project_constrained([far, 1.0, 1.0], [False, True, True], [0.0])
+        assert x.tobytes() == qg.project_constrained([0.0, 1.0, 1.0], [False, True, True], [0.0]).tobytes()
+        assert np.allclose(x, [0.0, 0.5, 0.5], rtol=0.0, atol=1e-15)
 
 
 # ----------------------------------------------------------- composition
