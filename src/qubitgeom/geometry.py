@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyIntersection, NonFiniteInput, OutsideCube, WeightsNotNormalized
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _readonly, _real, _trusted
 
 VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
@@ -209,8 +209,8 @@ def sw_decompose(eta) -> SWDecomposition:
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
     w = _weights(eta)
-    if _slack(w) <= FACE_TOL:
-        return SWDecomposition(1.0, eta.copy(), TRANSPOSE_ETA.copy(), VERTICES[0].copy())
+    if _slack(w) <= FACE_TOL:  # the two constants are read-only, as corner is below
+        return SWDecomposition(1.0, _readonly(eta.copy()), TRANSPOSE_ETA, VERTICES[0])
     if radius > 1.0:  # the violated face's slack s becomes (s + 1 - radius) / radius > 0
         eta = eta / radius
         w = _weights(eta)
@@ -221,4 +221,4 @@ def sw_decompose(eta) -> SWDecomposition:
     p = -FACE_NORMALS[k].dot(d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
     cp1 = corner + d / p if p > 0.0 else corner / 3.0  # eta == corner: centroid of the face
     cp2 = corner * TRANSPOSE_ETA  # compose(corner, transpose); transpose is an involution
-    return SWDecomposition(float(p), cp1, corner, cp2)
+    return SWDecomposition(float(p), _readonly(cp1), corner, _readonly(cp2))

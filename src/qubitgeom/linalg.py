@@ -48,6 +48,11 @@ def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:  # a itself, made read-only, not copied
+    a.setflags(write=False)
+    return a
+
+
 def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
     """Store obj.<name> as a read-only copy of _real(obj.<name>); for the
     __post_init__ of frozen value types."""
@@ -55,8 +60,7 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
         a = _real(getattr(obj, name), name, shape).copy()
     except QubitGeomError as exc:  # the type is named only on the error path
         raise type(exc)(f"{type(obj).__name__}.{exc}") from None
-    a.setflags(write=False)
-    object.__setattr__(obj, name, a)
+    object.__setattr__(obj, name, _readonly(a))
     return a
 
 
@@ -64,9 +68,7 @@ def _trusted(cls, **arrays):
     """cls holding arrays as read-only floats, kept and not copied, skipping __post_init__."""
     obj = object.__new__(cls)
     for name, value in arrays.items():
-        a = np.asarray(value, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(obj, name, a)
+        object.__setattr__(obj, name, _readonly(np.asarray(value, dtype=float)))
     return obj
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import geometry
 from .errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation,
                      UnknownName)
-from .linalg import FACE_TOL, PAULIS, _real
+from .linalg import FACE_TOL, PAULIS, _readonly, _real
 
 
 class Protocol(enum.Enum):
@@ -112,7 +112,7 @@ def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     eta_min = eta_y = 1.0 - 2.0 * d_max
     if protocol is Protocol.FOUR_STATE:
         eta_y = max(2.0 * eta_min - 1.0, -eta_min) + 0.0  # + 0.0: no -0 at d_max = 1/2
-    eta = np.array([eta_min, eta_y, eta_min])  # symmetric and in D by construction
+    eta = _readonly(np.array([eta_min, eta_y, eta_min]))  # symmetric and in D by construction
     ov = _overlap(protocol, eta)
     return AttackReport(protocol, eta, d_max, 1.0 - d_max, ov, float(_p_c(ov, eta_min)))
 
@@ -163,17 +163,15 @@ def brute_force_optimum(protocol: Protocol | str, d_max: float,
         return np.array([s, s, s])
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
     # A face test passes on a prefix (n[1] > 0) or a suffix of y_grid; its split
-    # k[face, row] is guessed on the exact plane, then stepped until the test agrees.
+    # k[face, row] is guessed on the exact plane, a few ulps (< 3e-15) from the rounded
+    # test's edge. Columns lie >= 1e-5 apart, so one test at k - 1 and k settles k.
     n = geometry.FACE_NORMALS[:, :, None]  # face, component, row
     prefix = n[:, 1, 0] > 0
     k = np.searchsorted(y_grid, (1.0 + FACE_TOL - (n[:, 0] + n[:, 2]) * s) / n[:, 1])
-    move = True
-    while np.any(move):
-        y = y_grid[np.clip([k - 1, k], 0, len(y_grid) - 1)]
-        # face products of (s, y, s), summed left to right as a matmul sums them
-        before, at = (n[:, 0] * s + n[:, 1] * y + n[:, 2] * s - 1.0 <= FACE_TOL) == prefix[:, None]
-        move = (at & (k < len(y_grid))).astype(int) - (~before & (k > 0))
-        k += move
+    y = y_grid[np.clip([k - 1, k], 0, len(y_grid) - 1)]
+    # face products of (s, y, s), summed left to right as a matmul sums them
+    before, at = (n[:, 0] * s + n[:, 1] * y + n[:, 2] * s - 1.0 <= FACE_TOL) == prefix[:, None]
+    k = k + (at & (k < len(y_grid))) - (~before & (k > 0))
     lo, hi = k[~prefix].max(axis=0), k[prefix].min(axis=0)  # allowed: y_grid[lo:hi]
     if not (lo < hi).any():
         raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")

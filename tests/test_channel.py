@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -460,6 +461,65 @@ def test_is_cp_of_a_non_unital_channel_is_the_choi_eigenvalue(rng):
         flag, min_eig = qg.is_cp(ch)
         assert min_eig == float(np.linalg.eigh(qg.choi(ch))[0][0])
         assert flag == (-4.0 * min_eig <= linalg.FACE_TOL)
+
+
+def _fa_exceeds(lam, t, tol: Fraction) -> bool:
+    """Exact, in Fractions: does sqrt(t^2 + (l1 +- l2)^2) - (1 +- l3), the face slack
+    is_cp reads off a Choi block of A = diag(lam), b = (0, 0, t), exceed tol for either
+    sign? At tol = 0 this is the Fujiwara-Algoet criterion (Phys. Rev. A 59, 3290
+    (1999)): the channel is CP iff (l1 +- l2)^2 <= (1 +- l3)^2 - t^2. Squaring keeps
+    the order, as |l3| <= 1 and tol >= 0 make 1 +- l3 + tol >= 0."""
+    l1, l2, l3, t = map(Fraction, (*lam, t))
+    return any(t * t + (l1 + s * l2) ** 2 > (1 + s * l3 + tol) ** 2 for s in (1, -1))
+
+
+def _fa_points(rng):
+    """(lam, t): uniform in the cube, on either Choi block's boundary and moved off it
+    by -1e-8 to 1e-8 (past FACE_TOL and inside its band), amplitude damping moved along t."""
+    points = [(rng.uniform(-1, 1, 3), rng.uniform(-1, 1)) for _ in range(150)]
+    for _ in range(250):
+        l3 = rng.uniform(-1, 1)
+        t = rng.uniform(-1, 1) * (1 - abs(l3))
+        on = np.sqrt((1 + l3) ** 2 - t * t), rng.uniform(-1, 1) * np.sqrt((1 - l3) ** 2 - t * t)
+        sign = rng.choice([1, -1])  # which block: l1 + l2 or l1 - l2 on its bound
+        plus, minus = on if sign == 1 else on[::-1]
+        delta = rng.choice([-1e-8, -1e-12, 0.0, 1e-12, 3e-10, 9e-10, 1.1e-9, 2e-9, 1e-8])
+        points.append((np.array([(plus + minus) / 2 + delta, (plus - minus) / 2 + sign * delta,
+                                 l3]), t))
+    for gamma in np.linspace(0, 1, 101):
+        for delta in (-1e-8, 1e-8):
+            points.append((np.array([np.sqrt(1 - gamma)] * 2 + [1 - gamma]), gamma + delta))
+    return points
+
+
+def test_non_unital_is_cp_matches_the_fujiwara_algoet_criterion(rng):
+    """is_cp's verdict is the exact criterion widened by FACE_TOL, to within 1e-14 of
+    it, on diagonal A with b along z and on rotated copies (R A R^T, R b), whose Choi
+    matrices are unitarily equivalent and take the general path."""
+    tol, eps = Fraction(linalg.FACE_TOL), Fraction(1, 10 ** 14)
+    verdicts = Counter()
+    for lam, t in _fa_points(rng):
+        A, b, R = np.diag(lam), np.array([0.0, 0.0, t]), random_rotation(rng)
+        for A, b in ((A, b), (R @ A @ R.T, R @ b)):
+            flag = qg.is_cp(qg.AffineChannel(A, b))[0]
+            if not _fa_exceeds(lam, t, tol - eps):
+                assert flag, (lam, t)
+                verdicts["CP" if not _fa_exceeds(lam, t, Fraction(0)) else "band"] += 1
+            elif _fa_exceeds(lam, t, tol + eps):
+                assert not flag, (lam, t)
+                verdicts["not CP"] += 1
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_amplitude_damping_is_cp_on_the_boundary():
+    """Amplitude damping, eta = (sqrt(1 - g), sqrt(1 - g), 1 - g) and b = (0, 0, g),
+    lies on the boundary of the CP set: exactly within 1e-15, a least Choi
+    eigenvalue within 1e-15 of 0, and is_cp accepts it at every g."""
+    for gamma in np.linspace(0, 1, 2001):
+        lam = np.array([np.sqrt(1 - gamma)] * 2 + [1 - gamma])
+        assert not _fa_exceeds(lam, gamma, Fraction(1, 10 ** 15))
+        flag, min_eig = qg.is_cp(qg.AffineChannel(np.diag(lam), [0.0, 0.0, gamma]))
+        assert flag and abs(min_eig) <= 1e-15, gamma
 
 
 @pytest.fixture

@@ -344,6 +344,38 @@ def test_valid_attack_budget(protocol, d):
         _valid(qg.brute_force_optimum, protocol, d, resolution)
 
 
+# Every route to a value type: its constructor and each function that returns one
+VALUES = [
+    qg.AffineChannel(np.eye(3), [0.0, 0.0, 0.1]), qg.AffineChannel.from_eta([0.5, 0.2, 0.1]),
+    CH, qg.channel_from_json({"eta": [0.5, 0.2, 0.1]}),
+    qg.channel_from_json({"A": np.eye(3).tolist()}),
+    qg.CanonicalForm(np.eye(3), np.ones(3), np.eye(3)),
+    qg.canonical_form(qg.AffineChannel(-np.eye(3))),
+    qg.PauliMixture([0.25, 0.25, 0.25, 0.25]), qg.pauli_weights([0.5, 0.2, 0.1]),
+    qg.sw_decompose([0.5, 0.2, 0.1]), qg.sw_decompose([-0.9, -0.8, -0.7]),
+    qg.sw_decompose([-1.0, -1.0, -1.0]), qg.sw_decompose([-1.0 - 5e-10, -1.0, -0.5]),
+    SPEC, qg.CouplingSpec([1.0, 0.0, 0.0]),
+    *(qg.design_coupling(eta)[0] for eta in ([1, 1, 1], [0.2, -0.1, 0.05])),
+    qg.trajectory(SPEC, [0.0, 0.5, 1.0]), qg.Trajectory([0.0], [[1.0, 1.0, 1.0]]),
+    NET, qg.NetworkSpec(np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0]),
+    qg.NetworkSpec.from_json(NET.to_json()),
+    *(qg.optimal_attack(protocol, d) for protocol in qg.Protocol for d in (0.0, 0.25, 0.5)),
+]
+
+def test_every_array_of_a_value_type_is_read_only():
+    """A value's arrays may be shared (a split's corner is a row of NONCP_CORNERS),
+    so a write into any of them raises, however the value was built."""
+    types = {value for name in qg.__all__ if dataclasses.is_dataclass(value := getattr(qg, name))}
+    assert {type(v) for v in VALUES} == types and len(types) == 8
+    for value in VALUES:
+        arrays = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        for a in (a for a in arrays if isinstance(a, np.ndarray)):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+
+
 def _main(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)

@@ -222,7 +222,10 @@ def _reference_brute_force(protocol, d_max, resolution):
     return pts[k]
 
 
-@pytest.mark.parametrize("resolution", [1e-3, 2e-3, 5e-3, 1e-2, 3.7e-3])
+_RESOLUTIONS = [1e-3, 2e-3, 5e-3, 1e-2, 3.7e-3]
+
+
+@pytest.mark.parametrize("resolution", _RESOLUTIONS)
 def test_brute_force_bit_identical_to_reference(resolution):
     compared = 0
     for d in np.linspace(0, 0.5, 51):
@@ -257,12 +260,14 @@ def test_brute_force_matches_reference_anywhere(d, log_res, protocol):
     assert qg.brute_force_optimum(protocol, d, resolution).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("resolution", [2.0 ** -7, 2.0 ** -5, 0.01, 0.05])
+@pytest.mark.parametrize("resolution", [2.0 ** -7, 2.0 ** -5, 0.05, *_RESOLUTIONS])
 def test_brute_force_at_the_tolerance_edge(resolution):
     # eta_min puts a grid point of the face eta_y = 2 eta_min - 1 at face slack
     # FACE_TOL to within a few ulps, where only the rounded test decides and the
-    # exact face plane guesses wrong
-    for y_edge in np.arange(-1.0, 0.9, resolution)[1::9]:
+    # exact face plane guesses one column wrong. The dense reference costs about
+    # d_max / resolution^2, so grids finer than 2^-7 take the six edges of least d_max.
+    edges = np.arange(-1.0, 0.9, resolution)[1::9]
+    for y_edge in edges if resolution >= 2.0 ** -7 else edges[-6:]:
         d0 = (1.0 - (1.0 + y_edge + FACE_TOL) / 2.0) / 2.0
         for d in d0 + np.arange(-3, 4) * np.spacing(d0):
             got = qg.brute_force_optimum(FOUR, d, resolution)
