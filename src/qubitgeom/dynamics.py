@@ -27,7 +27,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import BadDimension, NotCP, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _real, _trusted
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
 
 _ANCILLA_DIM = 4
 
@@ -70,7 +70,7 @@ def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
 
 def _eta_of_t(spec: CouplingSpec, t: np.ndarray) -> np.ndarray:
     c = (2.0 * spec.alpha**2 - 1.0).reshape(-1, *[1] * t.ndim)  # (3, n) broadcasts faster
-    return np.moveaxis(np.cos(t) ** 2 + np.sin(t) ** 2 * c, 0, -1)
+    return (np.cos(t) ** 2 + np.sin(t) ** 2 * c).transpose(*range(1, t.ndim + 1), 0)
 
 
 def design_coupling(target) -> tuple[CouplingSpec, float]:
@@ -82,14 +82,14 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
     p_z) renormalised. Returns t in [0, pi/2]; the identity target is
     degenerate and yields t = 0 with the conventional coupling (1, 0, 0).
     """
-    mix = geometry.pauli_weights(target)
-    if mix.signed:
+    p = geometry._weights(_real(target, "eta", (3,)))
+    if geometry._slack(p) > FACE_TOL:
         raise NotCP(f"target {target} is not a CP diagonal channel")
-    s2 = 1.0 - mix.p[0]
+    s2 = 1.0 - float(p[0])
     if s2 <= 1e-15:
         return _trusted(CouplingSpec, alpha=[1.0, 0.0, 0.0]), 0.0
-    alpha2 = np.clip(mix.p[1:], 0.0, None)
-    t = float(np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0))))
+    alpha2 = np.maximum(p[1:], 0.0)
+    t = float(np.arcsin(np.sqrt(min(s2, 1.0))))
     return _trusted(CouplingSpec, alpha=np.sqrt(alpha2 / np.sum(alpha2))), t
 
 
@@ -133,5 +133,6 @@ def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV rendering: header t,eta_x,eta_y,eta_z and one row per sample, each
     float as format(v, ".17g") writes it."""
-    table = np.column_stack([traj.times, traj.etas])
+    table = np.empty((len(traj.times), 4))  # C order, read uncopied; column_stack's is F
+    table[:, 0], table[:, 1:] = traj.times, traj.etas
     return "t,eta_x,eta_y,eta_z\n" + serialize._csv_17g(table)

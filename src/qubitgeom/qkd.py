@@ -124,10 +124,10 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     sum_k <j| K_k |i> |k> = sum_k K_k[j, i] |k> in a 4-dimensional probe space;
     the returned scalars are <E00|E00>, <E01|E01> and Re<E00|E11>.
     """
-    mix = geometry.pauli_weights(eta)
-    if mix.signed:
+    p = geometry._weights(_real(eta, "eta", (3,)))
+    if geometry._slack(p) > FACE_TOL:
         raise NotCP(f"eta {eta} is not CP")
-    kraus = np.sqrt(np.clip(mix.p, 0.0, None))[:, None, None] * PAULIS
+    kraus = np.sqrt(np.maximum(p, 0.0))[:, None, None] * PAULIS
     E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
     F = float(np.real(E00.conj() @ E00))
     D = float(np.real(E01.conj() @ E01))

@@ -6,13 +6,13 @@ digit decimals, so this walks the structure itself. Complex numbers render
 as [re, im] pairs.
 
 _csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
-exponent k is floor(log10 |v|) made exact against the least doubles >= 10**k,
-Dekker's error-free product gives |v| * 10**(16 - k) = p + e exactly, and p is
-an even integer above 2**53, so p + rint(e) is the significand rounded half to
-even. Its digit d and four groups of four fill a row of table words: the sign,
-"0." and zeros (k < 0) or a dot (k >= 0) with d; the groups, trailing zeros as
-pads; a separator. Rows with k > 0 move k digits over the dot, and one pass
-deletes the pads of all rows.
+exponent k, guessed from the binary exponent, is made exact against the least
+doubles >= 10**k, Dekker's error-free product gives |v| * 10**(16 - k) = p + e
+exactly, and p is an even integer above 2**53, so p + rint(e) is the significand
+rounded half to even. Its digit d and four groups of four fill a row of words in a
+bytearray: the sign, "0." and zeros (k < 0) or a dot (k >= 0) with d; the groups,
+trailing zeros as pads in the last and in each that only zero groups follow; a
+separator. Rows with k > 0 move k digits over the dot; translate deletes the pads.
 Other values (zero, subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take "%.17g".
 """
 
@@ -50,7 +50,6 @@ def dumps(obj) -> str:
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halves
 _POW10 = np.array([float(10**m) for m in range(21)])  # exact: 5**20 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
 _DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)] + [np.inf])  # 10**k rounded up
 _W = 28  # a row: sign, "0." and zeros in bytes 0..6, 17 digits in 7..23, separator at 24
 _PAD = ord(" ")  # around each field in its row, as "%-24.17g" pads too
@@ -58,53 +57,67 @@ _CHUNK = 1 << 16  # values rendered at a time, so that temporaries stay under 10
 
 
 @cache  # built on first use: most processes render no CSV
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """Words of the "%04d" digits of i, then of i with trailing zeros as pads
-    (row 10000 + i); word pairs of row ((min(k, 0) + 4) * 2 + (v < 0)) * 10 + d."""
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words of "%04d" % i, and with i's trailing zeros as pads (a group that zero groups
+    follow); word pairs of row (k * 10 + d) * 2 + (v < 0), counted from the end for k < 0."""
     quads = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")  # row i: "%04d" % i
     padded = quads.copy()
     for j in range(4):  # digit j of i is a trailing zero where 10**(4 - j) divides i
         padded[::10 ** (4 - j), j] = _PAD
-    heads = [b"%8s" % (sign + lead % d) for lead in b"0.000%d 0.00%d 0.0%d 0.%d %d.".split()
-             for sign in (b"", b"-") for d in range(10)]
-    return (np.concatenate([quads, padded]).view(np.uint32).ravel(),
-            np.frombuffer(b"".join(heads), np.uint32).reshape(-1, 2).T.copy())
+    heads = [b"%8s" % (sign + lead % d) for lead in b"%d. 0.000%d 0.00%d 0.0%d 0.%d".split()
+             for d in range(10) for sign in (b"", b"-")]  # k = 0, as k = 1 .. 15, then -4 .. -1
+    return (quads.copy().view(np.uint32).ravel(), padded.view(np.uint32).ravel(),
+            np.frombuffer(b"".join(heads[:20] * 16 + heads[20:]), np.uint32).reshape(-1, 2).T.copy())
 
 
 def _significand(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """round(a * 10**m) half to even, for products in [2**53, 2**63)."""
-    p, b_hi, b_lo = a * _POW10[m], _POW10_HI[m], _POW10_LO[m]
+    """round(a * 10**m) half to even, for products in [2**53, 2**63); a is overwritten."""
+    b = _POW10[m]
+    p, b_hi = a * b, _POW10_HI[m]
+    b -= b_hi  # b_lo
     a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    err = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)  # no fused multiply-add
-    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+    t = a_hi - a
+    a_hi -= t
+    a -= a_hi  # a_lo; err = a_lo b_lo - (((p - a_hi b_hi) - a_lo b_hi) - a_hi b_lo), unfused
+    np.subtract(p, np.multiply(a_hi, b_hi, out=t), out=t)
+    t -= np.multiply(a, b_hi, out=b_hi)
+    t -= np.multiply(a_hi, b, out=a_hi)
+    a *= b
+    a -= t
+    del b, b_hi, a_hi, t  # freed before the integers are made
+    return p.astype(np.int64) + np.rint(a, out=a).astype(np.int64)
 
 
-def _fields(v: np.ndarray, ncols: int) -> bytes:
+def _fields(v: np.ndarray, ncols: int) -> str:
     """The ".17g" fields of v, a newline after every ncols-th and a comma after the others."""
-    quads, heads = _tables()
+    quads, padded, heads = _tables()
     a = np.abs(v)
     slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))  # each fix-up indexes only its rows
     a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
-    k = np.floor(np.log10(a)).astype(np.int64)  # off by at most one either way
-    k += a >= _DECADES[k + 5]
-    k -= a < _DECADES[k + 4]
-    sig = _significand(a, 16 - k)
-    out = np.empty((len(v), _W), np.uint8)
+    k = ((a.view(np.int64) >> 52) - 1023) * 1233 >> 12  # floor(e log10 2), e the binary
+    k += a >= _DECADES[k + 5]  # exponent: the decade of a or the one below
+    head = np.subtract(16, k)
+    sig = _significand(a, head)
+    buf = bytearray(len(v) * _W)
+    out = np.frombuffer(buf, np.uint8).reshape(-1, _W)
     words = out.view(np.uint32)
-    tail = 10000  # pads the trailing zeros of the last group and of groups followed by zeros
+    q, r = a.view(np.int64), head  # spent: they hold the quotients and the groups
     for i in range(5, 1, -1):  # sig = d * 10**16 + the four-digit groups in words 2..5
-        q = sig // 10000
-        r = sig - q * 10000
-        words[:, i] = quads.take(r + tail)
-        tail = tail * (r == 0)
-        sig = q
-    head = ((np.minimum(k, 0) + 4) * 2 + (v < 0)) * 10 + sig
-    words[:, 0], words[:, 1] = heads[0].take(head), heads[1].take(head)
+        np.floor_divide(sig, 10000, out=q)
+        np.subtract(sig, np.multiply(q, 10000, out=r), out=r)  # numpy's % divides again
+        sig, q = q, sig
+        words[:, i] = (quads if i < 5 else padded).take(r)  # trailing zeros of the last group
+        if i < 5:  # and of a group that only zero groups follow are pads
+            words[rows, i] = padded.take(r[rows])
+        rows = np.flatnonzero(r == 0) if i == 5 else rows[r[rows] == 0]
+    np.add(np.multiply(k, 10, out=head), sig, out=head)  # row (k * 10 + d) * 2 + (v < 0)
+    head *= 2  # of the heads; the sign bit of v, shifted down, is -1 where v < 0
+    head -= np.right_shift(v.view(np.int64), 63, out=q)
+    words[:, 0] = heads[0].take(head)
+    words[:, 1] = heads[1].take(head)
     words[:, 6] = np.frombuffer(b",   ", np.uint32)
     out[ncols - 1::ncols, -4] = ord("\n")
-    out[np.flatnonzero((k == 0) & (tail > 0)), 7] = _PAD  # a whole number has no dot
+    out[rows[k[rows] == 0], 7] = _PAD  # a whole number has no dot
     for e in range(1, k.max() + 1):  # rows with k = e > 0: digits 1..e move left over the
         rows = np.flatnonzero(k == e)  # dot, their pads back to zeros
         digits = out[rows, 8:8 + e]
@@ -112,12 +125,13 @@ def _fields(v: np.ndarray, ncols: int) -> bytes:
         out[rows, 7 + e] = np.where(out[rows, 8 + e] == _PAD, _PAD, ord("."))
     text = b"".join(b"%-24.17g" % x for x in v[slow].tolist())  # at most 24 bytes
     out[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-    del a, k, sig, tail, head  # freed before the rows are copied out
-    return out.tobytes().translate(None, b" ")
+    del a, k, sig, q, r, head, out, words  # freed before the pads are deleted,
+    buf = buf.translate(None, b" ")  # and the rows before the text is decoded
+    return buf.decode()
 
 
 def _csv_17g(table: np.ndarray) -> str:
     """CSV lines of a 2-D float table, each value as format(v, ".17g")."""
     v = np.ascontiguousarray(table, dtype=float).ravel()
     step = _CHUNK - _CHUNK % table.shape[1]  # whole lines
-    return b"".join(_fields(v[i:i + step], table.shape[1]) for i in range(0, len(v), step)).decode()
+    return "".join(_fields(v[i:i + step], table.shape[1]) for i in range(0, len(v), step))

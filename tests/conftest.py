@@ -24,6 +24,31 @@ def random_eta_in_D(rng) -> np.ndarray:
     return geometry.VERTICES.T @ p
 
 
+def bit_lock_targets(rng) -> np.ndarray:
+    """2,228 points of D for bit-lock tests: 2,000 Dirichlet points; the vertices, edge
+    midpoints and face centroids, and the same 14 moved out by 1e-10 into the tolerance
+    band, where a Pauli weight is slightly negative; 200 points near the identity, at
+    distances from 1e-1 down to 1e-18."""
+    from qubitgeom import geometry
+
+    V = geometry.VERTICES
+    corners = np.concatenate([V, [(V[i] + V[j]) / 2 for i in range(4) for j in range(i + 1, 4)],
+                              [(V.sum(axis=0) - V[i]) / 3 for i in range(4)]])
+    eps = 10.0 ** -rng.uniform(1, 18, (200, 1))
+    near = (1.0 - eps) * V[0] + eps * (rng.dirichlet(np.ones(3), 200) @ V[1:])
+    dirichlet = rng.dirichlet(np.ones(4), 2000) @ V
+    return np.concatenate([dirichlet, corners, corners * (1 + 1e-10), near])
+
+
+def raised(f, *args) -> tuple[type, str]:
+    """The type and message of the QubitGeomError that f(*args) raises."""
+    from qubitgeom.errors import QubitGeomError
+
+    with pytest.raises(QubitGeomError) as exc:
+        f(*args)
+    return type(exc.value), str(exc.value)
+
+
 def face_slack(eta) -> float:
     """Largest face slack max(n . eta) - 1 of D: the number in_D compares with FACE_TOL."""
     from qubitgeom import geometry

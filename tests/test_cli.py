@@ -34,6 +34,8 @@ def run_cli(*args, check=True):
         (["project", "--eta", "-1", "-1", "-1"], "project_universal_not.json"),
         (["qkd", "--protocol", "four-state", "--dmax", "0.25"],
          "qkd_four_state_dmax025.json"),
+        (["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--tmax", "3", "--steps", "200"],
+         "dynamics_alpha2_steps200.csv"),
     ],
 )
 def test_goldens_byte_identical(argv, golden):

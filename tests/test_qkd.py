@@ -10,7 +10,7 @@ from qubitgeom.errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP,
                              SymmetryViolation, UnknownName)
 from qubitgeom.linalg import FACE_TOL, PAULIS
 
-from conftest import face_slack
+from conftest import bit_lock_targets, face_slack, raised
 
 FOUR = qg.Protocol.FOUR_STATE
 SIX = qg.Protocol.SIX_STATE
@@ -182,6 +182,29 @@ def test_dilation_basis_independent(rng):
 def test_dilation_rejects_non_cp():
     with pytest.raises(NotCP):
         qg.probe_overlaps_dilation([1, -1, 1])
+
+
+def _reference_probe_overlaps_dilation(eta):
+    """The earlier probe_overlaps_dilation, which read the weights through a PauliMixture
+    and clipped them with np.clip."""
+    mix = geometry.pauli_weights(eta)
+    if mix.signed:
+        raise NotCP(f"eta {eta} is not CP")
+    kraus = np.sqrt(np.clip(mix.p, 0.0, None))[:, None, None] * PAULIS
+    E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
+    return (float(np.real(E00.conj() @ E00)), float(np.real(E01.conj() @ E01)),
+            float(np.real(E00.conj() @ E11)))
+
+
+def test_dilation_bit_identical_to_reference(rng):
+    attacks = [qg.optimal_attack(protocol, d).eta for protocol in ("four-state", "six-state")
+               for d in np.linspace(0, 0.5, 51)]
+    for eta in [*bit_lock_targets(rng), *attacks]:
+        got, ref = qg.probe_overlaps_dilation(eta), _reference_probe_overlaps_dilation(eta)
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
+    for bad in ([1.0, -1.0, 1.0], [0.0, np.inf, 0.0]):
+        assert raised(qg.probe_overlaps_dilation, bad) == raised(
+            _reference_probe_overlaps_dilation, bad)
 
 
 def test_brute_force_matches_closed_form():
