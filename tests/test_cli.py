@@ -36,11 +36,31 @@ def run_cli(*args, check=True):
          "qkd_four_state_dmax025.json"),
         (["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--tmax", "3", "--steps", "200"],
          "dynamics_alpha2_steps200.csv"),
+        # a non-diagonal CP channel: the canonical form's factors reach the network
+        (["compile", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "compile_rotated.json"),
+        (["run", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "run_rotated.json"),
+        (["run", "--catalog", "depolarize:0.5", "--state", "0", "0", "1", "--n", "10000",
+          "--seed", "1"], "run_depolarize_sampled.json"),
+        (["design", "--eta", "0.2", "-0.1", "0.05"], "design_eta.json"),
+        (["sw", "--eta", "-0.9", "-0.8", "-0.7"], "sw_eta.json"),
+        (["qkd", "--protocol", "six-state", "--dmax", "0.2", "--grid-resolution", "0.002"],
+         "qkd_six_state_grid.json"),
     ],
 )
 def test_goldens_byte_identical(argv, golden):
     out = run_cli(*argv).stdout
     assert out == (GOLDEN_DIR / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv,stderr", [
+    (["compile", "--eta", "-1", "-1", "-1"],
+     b'{"error": "NotCP", "message": "channel is not CP (Choi min eigenvalue -5.000e-01)"}\n'),
+    (["design", "--eta", "-1", "-1", "-1"],
+     b'{"error": "NotCP", "message": "target [-1.0, -1.0, -1.0] is not a CP diagonal channel"}\n'),
+])
+def test_not_cp_refusal_bytes(argv, stderr):
+    proc = run_cli(*argv, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
 
 
 def test_huge_state_error_is_one_json_object():

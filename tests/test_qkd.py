@@ -65,6 +65,9 @@ def test_success_probability_values():
 def test_success_probability_rejects_non_cp():
     with pytest.raises(NotCP):
         qg.success_probability(SIX, [-1, -1, -1])
+    with pytest.raises(NotCP) as exc:  # the message prints the converted array
+        qg.success_probability(FOUR, [1, -1, 1])
+    assert str(exc.value) == "attack channel [ 1. -1.  1.] is not CP"
 
 
 def test_success_probability_below_fidelity_zero():
