@@ -134,10 +134,10 @@ def choi(ch: AffineChannel) -> np.ndarray:
 
 def is_cp(ch: AffineChannel) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum: (flag, min_eigenvalue), flag
-    True iff the spectrum's face slack geometry._slack, -4 * min_eigenvalue, is at
-    most FACE_TOL (1e-9). On a diagonal map the flag is in_D's to the bit."""
+    True iff geometry._cp, the verdict on D, passes the spectrum: its face slack
+    -4 * min_eigenvalue is at most FACE_TOL (1e-9). On a diagonal map it is in_D's."""
     w = geometry._weights(ch._factors[0]) if ch.is_unital else np.linalg.eigh(choi(ch))[0]
-    return geometry._slack(w) <= linalg.FACE_TOL, min(w.tolist())
+    return geometry._cp(w), min(w.tolist())
 
 
 def is_positive_unital(ch: AffineChannel) -> bool:
@@ -204,21 +204,21 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
     return _trusted(AffineChannel, A=np.diag(eta), b=np.zeros(3))  # from_eta without its check
 
 
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _numbers(value) -> bool:  # a JSON number or a list of them, at any depth; no boolean
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def channel_from_json(obj) -> AffineChannel:
-    """Parse the shared JSON channel schema. Raises BadDimension for a value
-    that is not an object with 3 numbers under "eta", or numeric "A" and "b";
-    a JSON boolean is not a number, though numpy would read it as 0 or 1."""
-    if isinstance(obj, dict) and _holds_bool([obj.get(key) for key in ("eta", "A", "b")]):
-        raise BadDimension("eta, A and b must hold numbers, not JSON booleans")
-    if isinstance(obj, dict) and "eta" in obj:
-        eta = obj["eta"]
-        if not (isinstance(eta, list) and all(isinstance(v, (int, float)) for v in eta)):
-            raise BadDimension(f"eta must be a list of 3 numbers, got {eta!r}")
-        return AffineChannel.from_eta(eta)
-    if isinstance(obj, dict) and "A" in obj:
-        return AffineChannel(obj["A"], obj.get("b", np.zeros(3)))
-    raise BadDimension("channel JSON must be an object with 'eta' or 'A'")
+    """Parse the shared JSON channel schema. Raises BadDimension for a value that
+    is not an object with "eta" or "A", or whose "eta", "A" or "b" holds anything
+    but numbers: a JSON boolean or string is not one, though numpy would read it."""
+    if not (isinstance(obj, dict) and ("eta" in obj or "A" in obj)):
+        raise BadDimension("channel JSON must be an object with 'eta' or 'A'")
+    for key in ("eta", "A", "b"):
+        if key in obj and not _numbers(obj[key]):
+            raise BadDimension(f"{key} must hold JSON numbers only")
+    if "eta" in obj:
+        return AffineChannel.from_eta(obj["eta"])
+    return AffineChannel(obj["A"], obj.get("b", np.zeros(3)))

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import channel as qchannel
 from . import geometry, linalg, serialize
-from .errors import BadDimension, NotCP, WeightsNotNormalized
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
+from .errors import BadDimension, WeightsNotNormalized
+from .linalg import ROUND_TOL, _freeze, _real, _trusted
 
 _ANCILLA_DIM = 4
 
@@ -82,15 +82,13 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
     p_z) renormalised. Returns t in [0, pi/2]; the identity target is
     degenerate and yields t = 0 with the conventional coupling (1, 0, 0).
     """
-    p = geometry._weights(_real(target, "eta", (3,)))
-    if geometry._slack(p) > FACE_TOL:
-        raise NotCP(f"target {target} is not a CP diagonal channel")
-    s2 = 1.0 - float(p[0])
+    p = geometry._cp_weights(_real(target, "eta", (3,)), "target {} is not a CP diagonal channel",
+                             target)
+    s2 = 1.0 - float(p[0])  # <= 1: p_I is clipped at 0
     if s2 <= 1e-15:
-        return _trusted(CouplingSpec, alpha=[1.0, 0.0, 0.0]), 0.0
-    alpha2 = np.maximum(p[1:], 0.0)
-    t = float(np.arcsin(np.sqrt(min(s2, 1.0))))
-    return _trusted(CouplingSpec, alpha=np.sqrt(alpha2 / np.sum(alpha2))), t
+        return _trusted(CouplingSpec, alpha=np.array([1.0, 0.0, 0.0])), 0.0
+    t = float(np.arcsin(np.sqrt(s2)))
+    return _trusted(CouplingSpec, alpha=np.sqrt(p[1:] / np.sum(p[1:]))), t
 
 
 def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:

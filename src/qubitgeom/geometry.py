@@ -28,8 +28,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyIntersection, NonFiniteInput, OutsideCube, WeightsNotNormalized
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _readonly, _real, _trusted
+from .errors import EmptyIntersection, NonFiniteInput, NotCP, OutsideCube, WeightsNotNormalized
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
 
 VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
@@ -49,7 +49,7 @@ for _a in (VERTICES, FACE_NORMALS, NONCP_CORNERS, TRANSPOSE_ETA):
 def in_D(eta) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
     is iff its largest face slack n . eta - 1 is at most FACE_TOL (1e-9)."""
-    return _slack(_weights(_real(eta, "eta", (3,)))) <= FACE_TOL
+    return _cp(_weights(_real(eta, "eta", (3,))))
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class PauliMixture:
     @property
     def signed(self) -> bool:
         """True iff the largest face slack exceeds FACE_TOL (1e-9)."""
-        return _slack(self.p) > FACE_TOL
+        return not _cp(self.p)
 
 
 def pauli_weights(eta) -> PauliMixture:
@@ -79,9 +79,18 @@ def _weights(eta: np.ndarray) -> np.ndarray:  # eta: floats of shape (..., 3)
     return 0.25 + eta.dot(_WEIGHT_STEP)  # no n . eta to overflow near 1e308
 
 
-def _slack(p: np.ndarray) -> float:  # p: the weights of eta, or 4 Choi eigenvalues
-    """Largest face slack n_k . eta - 1 = -4 p_k; eta is in D iff it is <= FACE_TOL."""
-    return -4.0 * min(p.tolist())
+def _cp(p: np.ndarray) -> bool:  # p: the weights of eta, or 4 Choi eigenvalues
+    """The one verdict on D: its largest face slack n_k . eta - 1 = -4 p_k is <= FACE_TOL."""
+    return -4.0 * min(p.tolist()) <= FACE_TOL
+
+
+def _cp_weights(eta: np.ndarray, refusal: str, *args) -> np.ndarray:
+    """eta's weights clipped at 0 if _cp passes them, else NotCP(refusal.format(*args, least=l)),
+    made only then; l is the least weight as the slack reads it, -inf once -4 l overflows."""
+    p = _weights(eta)
+    if not _cp(p):
+        raise NotCP(refusal.format(*args, least=-4.0 * min(p.tolist()) / -4.0))
+    return np.maximum(p, 0.0)
 
 
 def mixture_to_eta(p) -> np.ndarray:
@@ -189,6 +198,10 @@ class SWDecomposition:
     corner: np.ndarray
     cp2: np.ndarray
 
+    def __post_init__(self):
+        for name in ("cp1", "corner", "cp2"):
+            _freeze(self, name, (3,))
+
     def reconstruct(self) -> np.ndarray:
         return self.p * self.cp1 + (1.0 - self.p) * (self.cp2 * TRANSPOSE_ETA)
 
@@ -209,8 +222,8 @@ def sw_decompose(eta) -> SWDecomposition:
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
     w = _weights(eta)
-    if _slack(w) <= FACE_TOL:  # the two constants are read-only, as corner is below
-        return SWDecomposition(1.0, _readonly(eta.copy()), TRANSPOSE_ETA, VERTICES[0])
+    if _cp(w):
+        return _trusted(SWDecomposition, p=1.0, cp1=eta.copy(), corner=TRANSPOSE_ETA, cp2=VERTICES[0])
     if radius > 1.0:  # the violated face's slack s becomes (s + 1 - radius) / radius > 0
         eta = eta / radius
         w = _weights(eta)
@@ -221,4 +234,4 @@ def sw_decompose(eta) -> SWDecomposition:
     p = -FACE_NORMALS[k].dot(d) / 2.0 + 0.0  # + 0.0: no -0 at the corner
     cp1 = corner + d / p if p > 0.0 else corner / 3.0  # eta == corner: centroid of the face
     cp2 = corner * TRANSPOSE_ETA  # compose(corner, transpose); transpose is an involution
-    return SWDecomposition(float(p), _readonly(cp1), corner, _readonly(cp2))
+    return _trusted(SWDecomposition, p=float(p), cp1=cp1, corner=corner, cp2=cp2)

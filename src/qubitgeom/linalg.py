@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError
 
-# Tolerances. Every verdict on the CP tetrahedron D reads geometry._slack, its
+# Tolerances. Every verdict on the CP tetrahedron D is geometry._cp, the one test of its
 # largest face slack n . eta - 1; one on the cube [-1, 1]^3 reads |eta_k| - 1 or
 # sigma_max - 1. Each accepts slack up to FACE_TOL (eta units), so all agree.
 FACE_TOL = 1e-9
@@ -48,11 +48,6 @@ def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:  # a itself, made read-only, not copied
-    a.setflags(write=False)
-    return a
-
-
 def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
     """Store obj.<name> as a read-only copy of _real(obj.<name>); for the
     __post_init__ of frozen value types."""
@@ -60,15 +55,18 @@ def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
         a = _real(getattr(obj, name), name, shape).copy()
     except QubitGeomError as exc:  # the type is named only on the error path
         raise type(exc)(f"{type(obj).__name__}.{exc}") from None
-    object.__setattr__(obj, name, _readonly(a))
+    a.setflags(write=False)
+    object.__setattr__(obj, name, a)
     return a
 
 
-def _trusted(cls, **arrays):
-    """cls holding arrays as read-only floats, kept and not copied, skipping __post_init__."""
+def _trusted(cls, **fields):
+    """cls holding fields as given, skipping __post_init__; its float arrays made read-only."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     obj = object.__new__(cls)
-    for name, value in arrays.items():
-        object.__setattr__(obj, name, _readonly(np.asarray(value, dtype=float)))
+    obj.__dict__.update(fields)  # a frozen dataclass refuses only setattr
     return obj
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import channel as qchannel
 from . import geometry
-from .errors import (BadDimension, DisturbanceOutOfRange, NotCP, NotUnital, UnphysicalBloch,
+from .errors import (BadDimension, DisturbanceOutOfRange, NotUnital, UnphysicalBloch,
                      WeightsNotNormalized)
-from .linalg import FACE_TOL, ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
+from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,7 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
     if not ch.is_unital:
         raise NotUnital("the network realises unital channels only")
     delta, Q, R = ch._factors
-    p = geometry._weights(delta)
-    slack = geometry._slack(p)
-    if slack > FACE_TOL:
-        raise NotCP(f"channel is not CP (Choi min eigenvalue {-slack / 4.0:.3e})")
-    weights = np.maximum(p, 0.0)
+    weights = geometry._cp_weights(delta, "channel is not CP (Choi min eigenvalue {least:.3e})")
     return _trusted(NetworkSpec, u1=Q.T.dot(R), u2=Q, weights=weights / weights.sum())
 
 

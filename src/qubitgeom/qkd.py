@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import (DisturbanceOutOfRange, EmptyIntersection, NotCP, SymmetryViolation,
-                     UnknownName)
-from .linalg import FACE_TOL, PAULIS, _readonly, _real
+from .errors import DisturbanceOutOfRange, EmptyIntersection, SymmetryViolation, UnknownName
+from .linalg import FACE_TOL, PAULIS, _freeze, _real, _trusted
 
 
 class Protocol(enum.Enum):
@@ -59,6 +58,9 @@ class AttackReport:
     fidelity: float
     overlap: float
     p_c: float
+
+    def __post_init__(self):
+        _freeze(self, "eta", (3,))
 
     def to_json(self) -> dict:
         return {"protocol": self.protocol.value, "eta": self.eta.tolist(), "D": self.disturbance,
@@ -86,8 +88,7 @@ def success_probability(protocol: Protocol | str, eta) -> float:
     at F = (1 + eta_x) / 2 <= 0, where p_c is 0/0 or above 1: only at the four-state
     vertex R_y (D = 1) and within FACE_TOL past it. Other D above 1/2 get a value."""
     protocol, eta = _protocol(protocol), _real(eta, "eta", (3,))
-    if geometry._slack(geometry._weights(eta)) > FACE_TOL:
-        raise NotCP(f"attack channel {eta} is not CP")
+    geometry._cp_weights(eta, "attack channel {} is not CP", eta)
     return _p_c(_overlap(protocol, eta), float(eta[0]))
 
 
@@ -112,9 +113,10 @@ def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     eta_min = eta_y = 1.0 - 2.0 * d_max
     if protocol is Protocol.FOUR_STATE:
         eta_y = max(2.0 * eta_min - 1.0, -eta_min) + 0.0  # + 0.0: no -0 at d_max = 1/2
-    eta = _readonly(np.array([eta_min, eta_y, eta_min]))  # symmetric and in D by construction
+    eta = np.array([eta_min, eta_y, eta_min])  # symmetric and in D by construction
     ov = _overlap(protocol, eta)
-    return AttackReport(protocol, eta, d_max, 1.0 - d_max, ov, float(_p_c(ov, eta_min)))
+    return _trusted(AttackReport, protocol=protocol, eta=eta, disturbance=d_max,
+                    fidelity=1.0 - d_max, overlap=ov, p_c=float(_p_c(ov, eta_min)))
 
 
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
@@ -124,10 +126,8 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     sum_k <j| K_k |i> |k> = sum_k K_k[j, i] |k> in a 4-dimensional probe space;
     the returned scalars are <E00|E00>, <E01|E01> and Re<E00|E11>.
     """
-    p = geometry._weights(_real(eta, "eta", (3,)))
-    if geometry._slack(p) > FACE_TOL:
-        raise NotCP(f"eta {eta} is not CP")
-    kraus = np.sqrt(np.maximum(p, 0.0))[:, None, None] * PAULIS
+    p = geometry._cp_weights(_real(eta, "eta", (3,)), "eta {} is not CP", eta)
+    kraus = np.sqrt(p)[:, None, None] * PAULIS
     E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
     F = float(np.real(E00.conj() @ E00))
     D = float(np.real(E01.conj() @ E01))
@@ -156,11 +156,10 @@ def brute_force_optimum(protocol: Protocol | str, d_max: float,
     if not 0.0 <= d_max <= 0.5:
         raise DisturbanceOutOfRange(f"d_max {d_max} outside [0, 1/2]")
     eta_min = 1.0 - 2.0 * d_max
-    s = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
     if protocol is Protocol.SIX_STATE:
-        # Diagonal segment of D: every grid point with s in [eta_min, 1] is CP.
-        s = s[np.argmin(np.abs(s))]
-        return np.array([s, s, s])
+        # every grid s in [eta_min, 1] is CP (the diagonal of D); the least |s| is the first
+        return np.array([eta_min, eta_min, eta_min])
+    s = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
     # A face test passes on a prefix (n[1] > 0) or a suffix of y_grid; its split
     # k[face, row] is guessed on the exact plane, a few ulps (< 3e-15) from the rounded
@@ -168,7 +167,7 @@ def brute_force_optimum(protocol: Protocol | str, d_max: float,
     n = geometry.FACE_NORMALS[:, :, None]  # face, component, row
     prefix = n[:, 1, 0] > 0
     k = np.searchsorted(y_grid, (1.0 + FACE_TOL - (n[:, 0] + n[:, 2]) * s) / n[:, 1])
-    y = y_grid[np.clip([k - 1, k], 0, len(y_grid) - 1)]
+    y = y_grid[np.array([k - 1, k]).clip(0, len(y_grid) - 1)]
     # face products of (s, y, s), summed left to right as a matmul sums them
     before, at = (n[:, 0] * s + n[:, 1] * y + n[:, 2] * s - 1.0 <= FACE_TOL) == prefix[:, None]
     k = k + (at & (k < len(y_grid))) - (~before & (k > 0))
@@ -176,7 +175,7 @@ def brute_force_optimum(protocol: Protocol | str, d_max: float,
     if not (lo < hi).any():
         raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")
     z = np.searchsorted(y_grid, -s)  # fl(s + y) >= 0 exactly when y >= -s
-    cols = np.clip([z - 1, z], lo, hi - 1)  # smaller y first; >= -1, masked where lo >= hi
+    cols = np.array([z - 1, z]).clip(lo, hi - 1)  # smaller y first; >= -1, masked where lo >= hi
     vals = np.where(lo < hi, np.abs((s + y_grid[cols]) / 2.0), np.inf).T
     i, c = np.unravel_index(np.argmin(vals), vals.shape)
     return np.array([s[i], y_grid[cols[c, i]], s[i]])

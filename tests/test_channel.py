@@ -228,6 +228,10 @@ def test_affine_channel_rejects_bad_shape():
     pytest.param(lambda: qg.CouplingSpec([1.0, 0.0]), id="CouplingSpec"),
     pytest.param(lambda: qg.CouplingSpec.from_alpha2([1.0, 0.0]), id="CouplingSpec.from_alpha2"),
     pytest.param(lambda: qg.Trajectory([0.0, 1.0], [[1.0, 1.0, 1.0]]), id="Trajectory"),
+    pytest.param(lambda: qg.SWDecomposition(1.0, [1.0, 1.0], np.zeros(3), np.zeros(3)),
+                 id="SWDecomposition"),
+    pytest.param(lambda: qg.AttackReport(qg.Protocol.SIX_STATE, ["a", "b", "c"], 0.0, 1.0, 1.0, 0.5),
+                 id="AttackReport"),
     pytest.param(lambda: qg.mixture_to_eta([0.5, 0.5, 0.0]), id="mixture_to_eta"),
     pytest.param(lambda: qg.design_coupling([0.5, 0.5]), id="design_coupling"),
     pytest.param(lambda: qg.overlap(qg.Protocol.FOUR_STATE, [0.5, 0.5]), id="overlap"),

@@ -381,6 +381,10 @@ def test_dynamics_rejects_empty_grid(steps):
      "BadDimension"),
     (["check", "--in", b"\xff"], "_ArgumentError"),  # not UTF-8
     (["check", "--in", '{"eta": [' + "1" * 5000 + ', 0, 0]}'], "_ArgumentError"),  # past the int digit limit
+    (["check", "--in", '{"A": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]}'], "BadDimension"),  # numpy reads 1
+    (["check", "--in", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": ["0", 0, 0]}'],
+     "BadDimension"),
+    (["check", "--in", '{"eta": ["1", "1", "1"]}'], "BadDimension"),
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content

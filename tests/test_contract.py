@@ -360,6 +360,9 @@ VALUES = [
     NET, qg.NetworkSpec(np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0]),
     qg.NetworkSpec.from_json(NET.to_json()),
     *(qg.optimal_attack(protocol, d) for protocol in qg.Protocol for d in (0.0, 0.25, 0.5)),
+    qg.SWDecomposition(1.0, np.zeros(3), np.zeros(3), np.zeros(3)),
+    qg.SWDecomposition(0.5, [1, 1, 1], [-1, -1, -1], [1, -1, 1]),
+    qg.AttackReport(qg.Protocol.SIX_STATE, [0.5, 0.5, 0.5], 0.25, 0.75, 0.5, 0.9),
 ]
 
 def test_every_array_of_a_value_type_is_read_only():

@@ -1,12 +1,14 @@
-"""One face-slack kernel decides every verdict on D.
+"""One predicate decides every verdict on D.
 
-geometry._slack reads the largest face slack n . eta - 1 as -4 times the least
-Pauli weight or Choi eigenvalue, which is exact: -4 ((1 - x) / 4) = x - 1 in
-floating point. So each verdict on seeded points within 4 FACE_TOL of every
-vertex, edge and face of D is the explicit test max(n . eta - 1) <= FACE_TOL,
-on a diagonal channel bit for bit. A rotated channel reads the slack of its
-canonical delta, whose rounding can tip a verdict only within about 1e-16 of
-FACE_TOL; points within 1e-12 of it are left out there.
+geometry._cp compares the largest face slack n . eta - 1 with FACE_TOL, reading
+it as -4 times the least Pauli weight or Choi eigenvalue, which is exact:
+-4 ((1 - x) / 4) = x - 1 in floating point. compile_channel, design_coupling and
+the two QKD calls reach it through one NotCP gate, geometry._cp_weights. So each
+verdict on seeded points within 4 FACE_TOL of every vertex, edge and face of D
+is the explicit test max(n . eta - 1) <= FACE_TOL, on a diagonal channel bit for
+bit. A rotated channel reads the slack of its canonical delta, whose rounding
+can tip a verdict only within about 1e-16 of FACE_TOL; points within 1e-12 of it
+are left out there.
 """
 
 from itertools import combinations

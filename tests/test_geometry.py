@@ -499,6 +499,12 @@ def test_sw_decompose_interior():
     assert np.allclose(dec.cp1, [0, 0, 0])
 
 
+def test_sw_decomposition_built_from_lists():
+    """The constructor reads each part as 3 floats, as sw_decompose builds them."""
+    dec = qg.SWDecomposition(0.5, [1, 1, 1], [-1, -1, -1], [1, -1, 1])
+    assert dec.reconstruct().tolist() == [1.0, 1.0, 1.0] and type(dec.p) is float
+
+
 def test_sw_decompose_just_beyond_the_cube():
     # corners scaled past the cube, and a point past the face x = 1: within
     # FACE_TOL of the cube the split is valid, beyond it OutsideCube is raised;
