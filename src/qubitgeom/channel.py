@@ -16,14 +16,13 @@ non-unital channel has its Choi matrix built and diagonalised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import geometry, linalg
 from .errors import BadDimension, NotUnital, UnknownName, UnphysicalBloch
-from .linalg import PAULIS, _det3, _freeze, _real, _trusted
+from .linalg import _NO_SHIFT, PAULIS, _det3, _freeze, _real, _trusted, _Value
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
@@ -62,24 +61,23 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     return _in_ball(np.array([x + 0.0, y + 0.0, z + 0.0]))  # + 0.0: no -0, as in the trace form
 
 
-@dataclass(frozen=True)
-class AffineChannel:
+class AffineChannel(_Value):
     """Affine Bloch-vector map s -> A s + b.
 
     A is a real 3x3 matrix, b a real translation. Instances are immutable.
     """
 
     A: np.ndarray
-    b: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    b: np.ndarray  # (0, 0, 0) if not given
 
-    def __post_init__(self):
-        _freeze(self, "A", (3, 3))
-        _freeze(self, "b", (3,))
+    def __init__(self, A, b=_NO_SHIFT):
+        _freeze(self, "A", A, (3, 3))
+        _freeze(self, "b", b, (3,))
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
-        return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))), b=np.zeros(3))
+        return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))), b=_NO_SHIFT)
 
     @cached_property  # A and b are read-only, so each of these is computed once
     def is_unital(self) -> bool:
@@ -148,8 +146,7 @@ def is_positive_unital(ch: AffineChannel) -> bool:
     return bool(ch._canonical.delta[0] - 1.0 <= linalg.FACE_TOL)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Value):
     """Rotation-diagonal-rotation factorisation A = Q diag(delta) Q^T R.
 
     Q and R are proper rotations; delta is a signed diagonal whose absolute
@@ -160,10 +157,10 @@ class CanonicalForm:
     delta: np.ndarray
     R: np.ndarray
 
-    def __post_init__(self):
-        _freeze(self, "Q", (3, 3))
-        _freeze(self, "delta", (3,))
-        _freeze(self, "R", (3, 3))
+    def __init__(self, Q, delta, R):
+        _freeze(self, "Q", Q, (3, 3))
+        _freeze(self, "delta", delta, (3,))
+        _freeze(self, "R", R, (3, 3))
 
     def reconstruct(self) -> np.ndarray:
         return self.Q @ np.diag(self.delta) @ self.Q.T @ self.R
@@ -201,12 +198,12 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
         if not 0.0 <= p <= 1.0:
             raise UnknownName(f"depolarize probability {p} outside [0, 1]")
         eta = (1.0 - p, 1.0 - p, 1.0 - p)
-    return _trusted(AffineChannel, A=np.diag(eta), b=np.zeros(3))  # from_eta without its check
+    return _trusted(AffineChannel, A=np.diag(eta), b=_NO_SHIFT)  # from_eta without its check
 
 
-def _numbers(value) -> bool:  # a JSON number or a list of them, at any depth; no boolean
-    if isinstance(value, list):
-        return all(map(_numbers, value))
+def _numbers(value, depth: int = 64) -> bool:  # a JSON number or (nested) lists of them; no boolean
+    if isinstance(value, list):  # past numpy's 64 dimensions, unread: _real refuses it
+        return depth == 0 or all(_numbers(v, depth - 1) for v in value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -221,4 +218,4 @@ def channel_from_json(obj) -> AffineChannel:
             raise BadDimension(f"{key} must hold JSON numbers only")
     if "eta" in obj:
         return AffineChannel.from_eta(obj["eta"])
-    return AffineChannel(obj["A"], obj.get("b", np.zeros(3)))
+    return AffineChannel(obj["A"], obj.get("b", _NO_SHIFT))

@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +80,7 @@ def _channel_from_args(args) -> qg.channel.AffineChannel:
         with open(args.infile) as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or an int past the digit limit
+            except (ValueError, RecursionError) as exc:  # not UTF-8, too long an int, too deep
                 raise exc if isinstance(exc, json.JSONDecodeError) else _ArgumentError(f"--in: {exc}")
         return qg.channel.channel_from_json(data)
     if args.eta is not None:
@@ -177,7 +176,7 @@ VERBS = {
                       help="pin a coordinate, e.g. --fix z=0"),
     }, _project, ("project_to_D", "project_constrained")),
     "canon": Verb("rotation-diagonal-rotation form", _CHANNEL_ARGS,
-                  lambda args: asdict(qg.channel.canonical_form(_channel_from_args(args))),
+                  lambda args: qg.channel.canonical_form(_channel_from_args(args))._asdict(),
                   ("canonical_form",)),
     "compile": Verb("compile to the simulation network", _CHANNEL_ARGS,
                     lambda args: qg.network.compile_channel(_channel_from_args(args)).to_json(),
@@ -204,25 +203,25 @@ VERBS = {
         "--grid-resolution": dict(type=float, help="also cross-check with the grid-search oracle"),
     }, _qkd, ("optimal_attack", "brute_force_optimum")),
     "sw": Verb("CP + CP-after-transpose decomposition", _CHANNEL_ARGS,
-               lambda args: asdict(qg.geometry.sw_decompose(_eta_from_args(args))),
+               lambda args: qg.geometry.sw_decompose(_eta_from_args(args))._asdict(),
                ("sw_decompose",)),
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(verbs=VERBS) -> _Parser:
     parser = _Parser(prog="qubitgeom")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, verb in VERBS.items():
-        p = sub.add_parser(name, help=verb.help)
-        for flag, kwargs in verb.arguments.items():
+    for name in verbs:
+        p = sub.add_parser(name, help=VERBS[name].help)
+        for flag, kwargs in VERBS[name].arguments.items():
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # the parser of the verb argv[0] names, alone; of every verb if it names none
+        args = _build_parser(VERBS.keys() & argv[:1] or VERBS).parse_args(argv)
         result = VERBS[args.verb].run(args)
     except _Help as exc:
         result = str(exc)

@@ -19,7 +19,6 @@ serves as the independent oracle for the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import BadDimension, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _real, _trusted
+from .linalg import ROUND_TOL, _freeze, _real, _trusted, _Value
 
 _ANCILLA_DIM = 4
 
@@ -38,14 +37,13 @@ _GENERATORS = np.array([np.kron(sigma, np.outer(_E[0], _E[i]) + np.outer(_E[i], 
                         for i, sigma in enumerate(linalg.PAULIS) if i])
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
+class CouplingSpec(_Value):
     """Normalised coupling strengths (alpha_x, alpha_y, alpha_z)."""
 
     alpha: np.ndarray
 
-    def __post_init__(self):
-        a = _freeze(self, "alpha", (3,))
+    def __init__(self, alpha):
+        a = _freeze(self, "alpha", alpha, (3,))
         if not abs(np.sum(a * a) - 1.0) <= ROUND_TOL:
             raise WeightsNotNormalized(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
 
@@ -103,21 +101,21 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     qchannel.density_to_bloch(rho0)  # rejects all but a 2x2 density matrix
     # rho0 (x) |a1><a1| is zero off rows and columns 0 and 4, so it evolves to
     # V rho0 V^H with V the columns 0 and 4 of the full unitary
-    V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
-    evolved = V @ np.asarray(rho0, dtype=complex) @ V.conj().T
+    if spec.__dict__.get("_t") != t.hex():  # keep the last t's columns, as _eig is kept
+        spec.__dict__.update(_t=t.hex(), _V=linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM])
+    evolved = spec._V @ np.asarray(rho0, dtype=complex) @ spec._V.conj().T
     return linalg._trace_ancilla(evolved, _ANCILLA_DIM)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value):
     """Sampled path t -> eta(t) in channel-parameter space."""
 
     times: np.ndarray
     etas: np.ndarray  # shape (n, 3)
 
-    def __post_init__(self):
-        times = _freeze(self, "times", (-1,))
-        _freeze(self, "etas", (len(times), 3))
+    def __init__(self, times, etas):
+        times = _freeze(self, "times", times, (-1,))
+        _freeze(self, "etas", etas, (len(times), 3))
 
 
 def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:

@@ -22,14 +22,13 @@ step matrix is computed once per pinning pattern. The Pauli weights of eta are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import EmptyIntersection, NonFiniteInput, NotCP, OutsideCube, WeightsNotNormalized
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted
+from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted, _Value
 
 VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
@@ -52,8 +51,7 @@ def in_D(eta) -> bool:
     return _cp(_weights(_real(eta, "eta", (3,))))
 
 
-@dataclass(frozen=True)
-class PauliMixture:
+class PauliMixture(_Value):
     """Weights (p_I, p_x, p_y, p_z) over the four tetrahedron vertices, of unit
     sum for mixture_to_eta. A negative weight, flagged by `signed`, keeps the
     affine decomposition of a positive-but-not-CP map.
@@ -61,8 +59,8 @@ class PauliMixture:
 
     p: np.ndarray
 
-    def __post_init__(self):
-        _freeze(self, "p", (4,))
+    def __init__(self, p):
+        _freeze(self, "p", p, (4,))
 
     @property
     def signed(self) -> bool:
@@ -86,10 +84,10 @@ def _cp(p: np.ndarray) -> bool:  # p: the weights of eta, or 4 Choi eigenvalues
 
 def _cp_weights(eta: np.ndarray, refusal: str, *args) -> np.ndarray:
     """eta's weights clipped at 0 if _cp passes them, else NotCP(refusal.format(*args, least=l)),
-    made only then; l is the least weight as the slack reads it, -inf once -4 l overflows."""
+    made only then, with l the least weight."""
     p = _weights(eta)
     if not _cp(p):
-        raise NotCP(refusal.format(*args, least=-4.0 * min(p.tolist()) / -4.0))
+        raise NotCP(refusal.format(*args, least=min(p.tolist())))
     return np.maximum(p, 0.0)
 
 
@@ -185,8 +183,7 @@ def project_constrained(eta, free_mask, fixed_values) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class SWDecomposition:
+class SWDecomposition(_Value):
     """Positive map as p * cp1 + (1 - p) * (cp2 o transpose).
 
     cp1 and cp2 both lie in D; corner = compose(cp2, transpose) is the
@@ -198,9 +195,9 @@ class SWDecomposition:
     corner: np.ndarray
     cp2: np.ndarray
 
-    def __post_init__(self):
-        for name in ("cp1", "corner", "cp2"):
-            _freeze(self, name, (3,))
+    def __init__(self, p, cp1, corner, cp2):
+        for name, value, shape in zip(self._fields, (p, cp1, corner, cp2), ((), (3,), (3,), (3,))):
+            _freeze(self, name, value, shape)
 
     def reconstruct(self) -> np.ndarray:
         return self.p * self.cp1 + (1.0 - self.p) * (self.cp2 * TRANSPOSE_ETA)

@@ -2,10 +2,10 @@
 complex square matrices of dimension 2, 4 or 8 and real 3x3 matrices. All pure.
 
 Validate once, at the public boundary. A public function checks what its caller
-passes (with _real, require_hermitian or a value type's __post_init__) and hands
-it to an unchecked private kernel, the one source of its formula. Arrays the
-program built, and the read-only arrays of value types, go straight to kernels;
-_trusted keeps such arrays, uncopied, in a value type built without __post_init__.
+passes (with _real, require_hermitian or a value type's __init__) and hands it to
+an unchecked private kernel, the one source of its formula. Arrays the program
+built, and the read-only arrays of value types, go straight to kernels; _trusted
+keeps such arrays, uncopied, in a value type built without its __init__.
 Where numpy's dispatch outweighs the work and numpy does not decide the bits, a
 kernel reads tolist() and does Python arithmetic, as require_hermitian does. BLAS
 products (written a.dot(b): @'s bits, less dispatch), svd and seeding stay numpy.
@@ -28,7 +28,8 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
-for _a in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS):
+_NO_SHIFT = np.zeros(3)  # b of a unital channel: AffineChannel's default, from_eta's
+for _a in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, _NO_SHIFT):
     _a.setflags(write=False)  # shared by every call: a caller's write would reach them all
 
 
@@ -48,25 +49,40 @@ def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
     return a
 
 
-def _freeze(obj, name: str, shape: tuple) -> np.ndarray:
-    """Store obj.<name> as a read-only copy of _real(obj.<name>); for the
-    __post_init__ of frozen value types."""
+class _Value:  # an immutable value type: its fields are its annotations, set by __init__
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __setattr__(self, name, *value):  # and __delattr__, as in a frozen dataclass
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:  # field -> value, in order: the CLI's JSON object of a value
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __repr__(self):  # a dataclass's text
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _freeze(obj: _Value, name: str, value, shape: tuple) -> np.ndarray:
+    """Set obj.<name> to a read-only copy of _real(value), a float if shape is ()."""
     try:
-        a = _real(getattr(obj, name), name, shape).copy()
+        a = _real(value, name, shape).copy()
     except QubitGeomError as exc:  # the type is named only on the error path
         raise type(exc)(f"{type(obj).__name__}.{exc}") from None
     a.setflags(write=False)
-    object.__setattr__(obj, name, a)
+    obj.__dict__[name] = a if shape else float(a)
     return a
 
 
 def _trusted(cls, **fields):
-    """cls holding fields as given, skipping __post_init__; its float arrays made read-only."""
+    """cls holding fields as given, skipping its __init__; its float arrays made read-only."""
     for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)  # a frozen dataclass refuses only setattr
+    obj.__dict__.update(fields)  # _Value refuses only setattr
     return obj
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +25,10 @@ from . import channel as qchannel
 from . import geometry
 from .errors import (BadDimension, DisturbanceOutOfRange, NotUnital, UnphysicalBloch,
                      WeightsNotNormalized)
-from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted
+from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted, _Value
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Value):
     """Compiled network: pre-rotation u1, Pauli-mixture weights (p_I, p_x,
     p_y, p_z), post-rotation u2 (rotations act on Bloch vectors). The JSON
     form carries the ancilla amplitudes sqrt(weights) in place of weights."""
@@ -39,11 +37,11 @@ class NetworkSpec:
     u2: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        w = _freeze(self, "weights", (4,))
+    def __init__(self, u1, u2, weights):
+        w = _freeze(self, "weights", weights, (4,))
         if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= ROUND_TOL):
             raise WeightsNotNormalized("weights must be nonnegative with unit sum")
-        for M in (_freeze(self, "u1", (3, 3)), _freeze(self, "u2", (3, 3))):
+        for M in (_freeze(self, "u1", u1, (3, 3)), _freeze(self, "u2", u2, (3, 3))):
             if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and _det3(M) >= 0):
                 raise UnphysicalBloch("u1, u2 must be proper rotations")
 
@@ -110,4 +108,4 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
 def induced_channel(spec: NetworkSpec) -> qchannel.AffineChannel:
     """Affine channel implemented by the network (for roundtrip checks)."""
     delta = np.diag(geometry.VERTICES.T @ spec.weights)
-    return qchannel.AffineChannel(spec.u2 @ delta @ spec.u1, np.zeros(3))
+    return qchannel.AffineChannel(spec.u2 @ delta @ spec.u1)

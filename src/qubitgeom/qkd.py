@@ -26,13 +26,12 @@ are the independent oracles for the closed forms.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .errors import DisturbanceOutOfRange, EmptyIntersection, SymmetryViolation, UnknownName
-from .linalg import FACE_TOL, PAULIS, _freeze, _real, _trusted
+from .linalg import FACE_TOL, PAULIS, _freeze, _real, _trusted, _Value
 
 
 class Protocol(enum.Enum):
@@ -48,8 +47,7 @@ def _protocol(protocol) -> Protocol:
         raise UnknownName(f"unknown protocol {protocol!r}") from None
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(_Value):
     """Summary of a symmetric incoherent attack."""
 
     protocol: Protocol
@@ -59,8 +57,10 @@ class AttackReport:
     overlap: float
     p_c: float
 
-    def __post_init__(self):
-        _freeze(self, "eta", (3,))
+    def __init__(self, protocol, eta, disturbance, fidelity, overlap, p_c):
+        self.__dict__["protocol"] = _protocol(protocol)
+        for name, value in zip(self._fields[1:], (eta, disturbance, fidelity, overlap, p_c)):
+            _freeze(self, name, value, (3,) if name == "eta" else ())
 
     def to_json(self) -> dict:
         return {"protocol": self.protocol.value, "eta": self.eta.tolist(), "D": self.disturbance,

@@ -232,6 +232,13 @@ def test_affine_channel_rejects_bad_shape():
                  id="SWDecomposition"),
     pytest.param(lambda: qg.AttackReport(qg.Protocol.SIX_STATE, ["a", "b", "c"], 0.0, 1.0, 1.0, 0.5),
                  id="AttackReport"),
+    pytest.param(lambda: qg.SWDecomposition("x", np.zeros(3), np.zeros(3), np.zeros(3)),
+                 id="SWDecomposition-p"),
+    pytest.param(lambda: qg.AttackReport(qg.Protocol.SIX_STATE, [0.5] * 3, 0.25, "x", 0.5, 0.9),
+                 id="AttackReport-scalar"),
+    pytest.param(lambda: qg.channel_from_json({"A": _nested(900)}), id="channel_from_json-deep"),
+    pytest.param(lambda: qg.channel_from_json({"eta": _nested(100_000)}),
+                 id="channel_from_json-deeper"),
     pytest.param(lambda: qg.mixture_to_eta([0.5, 0.5, 0.0]), id="mixture_to_eta"),
     pytest.param(lambda: qg.design_coupling([0.5, 0.5]), id="design_coupling"),
     pytest.param(lambda: qg.overlap(qg.Protocol.FOUR_STATE, [0.5, 0.5]), id="overlap"),
@@ -254,6 +261,14 @@ def test_affine_channel_rejects_bad_shape():
 def test_bad_shapes_raise_bad_dimension(make):
     with pytest.raises(BadDimension):
         make()
+
+
+def _nested(depth: int) -> list:
+    """[[...[1.0]...]], depth lists deep, built without recursion."""
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def _band_points():

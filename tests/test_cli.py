@@ -21,6 +21,7 @@ def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "qubitgeom.cli", *args],
         capture_output=True,
+        env=dict(os.environ, COLUMNS="80"),  # the width argparse wraps its help to
     )
     if check:
         assert proc.returncode == 0, proc.stderr.decode()
@@ -45,6 +46,9 @@ def run_cli(*args, check=True):
         (["sw", "--eta", "-0.9", "-0.8", "-0.7"], "sw_eta.json"),
         (["qkd", "--protocol", "six-state", "--dmax", "0.2", "--grid-resolution", "0.002"],
          "qkd_six_state_grid.json"),
+        (["canon", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "canon_rotated.json"),
+        (["-h"], "help.txt"),  # every verb's parser
+        (["check", "-h"], "help_check.txt"),  # the named verb's alone
     ],
 )
 def test_goldens_byte_identical(argv, golden):
@@ -57,10 +61,48 @@ def test_goldens_byte_identical(argv, golden):
      b'{"error": "NotCP", "message": "channel is not CP (Choi min eigenvalue -5.000e-01)"}\n'),
     (["design", "--eta", "-1", "-1", "-1"],
      b'{"error": "NotCP", "message": "target [-1.0, -1.0, -1.0] is not a CP diagonal channel"}\n'),
+    # the least weight, -7.5e307, as it is: its face slack -4 p overflows
+    (["compile", "--eta", "-1e308", "-1e308", "-1e308"],
+     b'{"error": "NotCP", "message": "channel is not CP (Choi min eigenvalue -7.500e+307)"}\n'),
 ])
 def test_not_cp_refusal_bytes(argv, stderr):
     proc = run_cli(*argv, check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
+
+
+@pytest.mark.parametrize("argv,golden", [([], "no_verb.stderr"), (["bogus"], "bogus_verb.stderr")])
+def test_argparse_refusal_bytes(argv, golden):
+    """With no verb or an unknown one, every verb's parser is built: argparse's message is whole."""
+    proc = run_cli(*argv, check=False)
+    expected = (GOLDEN_DIR / golden).read_bytes()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", expected)
+
+
+def test_main_builds_only_the_named_verb(monkeypatch, capsys):
+    """main builds one subparser when argv[0] names a verb exactly, else all of them."""
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda verbs=cli.VERBS: built.append(sorted(verbs)) or build(verbs))
+    for argv in (["check", "--eta", "1", "1", "1"], ["sw", "-h"], [], ["-h"], ["bogus"], ["chec"],
+                 ["--", "check"]):
+        cli.main(argv)
+    every = sorted(cli.VERBS)
+    assert built == [["check"], ["sw"], every, every, every, every, every]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_one_verb_parser_reads_as_the_full_one(verb):
+    """The named verb's parser writes the same help, and parses the same namespace."""
+    alone, full = cli._build_parser([verb]), cli._build_parser()
+    helps = []
+    for parser in (alone, full):
+        with pytest.raises(cli._Help) as answer:
+            parser.parse_args([verb, "-h"])
+        helps.append(str(answer.value))
+    assert helps[0] == helps[1]
+    for argv in _VERB_ARGVS[verb]:
+        assert vars(alone.parse_args([verb, *argv])) == vars(full.parse_args([verb, *argv]))
 
 
 def test_huge_state_error_is_one_json_object():
@@ -509,6 +551,25 @@ def test_cli_process_imports_one_verb_module(verb):
     assert loaded == {"compile": ["qubitgeom.network"], "run": ["qubitgeom.network"],
                       "dynamics": ["qubitgeom.dynamics"], "design": ["qubitgeom.dynamics"],
                       "qkd": ["qubitgeom.qkd"]}.get(verb, [])
+
+
+@pytest.mark.parametrize("verb", ["check", "dynamics", "qkd"])
+def test_cli_process_does_not_load_dataclasses(verb):
+    """The value types generate no code: a real process never imports dataclasses."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qubitgeom.cli", verb,
+                           *_VERB_ARGVS[verb][0]], capture_output=True, text=True, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "qubitgeom.channel" in imported and "dataclasses" not in imported
+
+
+@pytest.mark.parametrize("depth,error", [(900, "BadDimension"), (100_000, "_ArgumentError")])
+def test_deeply_nested_in_exits_2(depth, error, tmp_path, capsys):
+    """A 900-deep A fails the number check, past numpy's 64 dimensions; json.load itself
+    gives up on 100,000 lists. Neither is an internal fault."""
+    f = tmp_path / "deep.json"
+    f.write_text('{"A": ' + "[" * depth + "1" + "]" * depth + "}")
+    assert cli.main(["check", "--in", str(f)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_frozen_process_loses_nothing_at_exit(capsys):

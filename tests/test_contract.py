@@ -15,7 +15,6 @@ each call to the same contract, with any warning a failure.
 """
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import warnings
@@ -27,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import qubitgeom as qg
-from qubitgeom import cli, geometry
+from qubitgeom import cli, geometry, linalg
 from qubitgeom.errors import (BadDimension, DisturbanceOutOfRange, EmptyIntersection, NonFiniteInput,
-                              QubitGeomError, UnphysicalBloch, WeightsNotNormalized)
+                              QubitGeomError, UnknownName, UnphysicalBloch, WeightsNotNormalized)
 
 SETTINGS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -108,8 +107,8 @@ ADVERSARIAL = st.one_of(
 
 def _finite(value) -> bool:
     """True when every number the result holds is finite."""
-    if dataclasses.is_dataclass(value):
-        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, linalg._Value):
+        return all(_finite(getattr(value, name)) for name in value._fields)
     if isinstance(value, (tuple, list)):
         return all(_finite(v) for v in value)
     if isinstance(value, (str, qg.Protocol)):
@@ -368,15 +367,73 @@ VALUES = [
 def test_every_array_of_a_value_type_is_read_only():
     """A value's arrays may be shared (a split's corner is a row of NONCP_CORNERS),
     so a write into any of them raises, however the value was built."""
-    types = {value for name in qg.__all__ if dataclasses.is_dataclass(value := getattr(qg, name))}
+    types = {value for name in qg.__all__
+             if isinstance(value := getattr(qg, name), type) and issubclass(value, linalg._Value)}
     assert {type(v) for v in VALUES} == types and len(types) == 8
     for value in VALUES:
-        arrays = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        arrays = [getattr(value, name) for name in value._fields]
         for a in (a for a in arrays if isinstance(a, np.ndarray)):
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 a += 1.0
+
+
+def test_value_types_are_immutable_and_take_their_fields():
+    """A field can be neither assigned nor deleted; the constructor takes exactly the
+    fields (AffineChannel's b may be left out), positionally or by name, and rebuilds
+    the value's bits; the repr is a dataclass's; equality and hashing are identity."""
+    for value in VALUES:
+        cls, fields = type(value), {name: getattr(value, name) for name in value._fields}
+        for name in (*value._fields, "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 0.0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert {name: getattr(value, name) for name in value._fields} == fields  # untouched
+        with pytest.raises(TypeError, match="missing"):
+            cls()
+        with pytest.raises(TypeError, match="positional argument"):
+            cls(*fields.values(), 0.0)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cls(**fields, other=0.0)
+        for rebuilt in (cls(*fields.values()), cls(**fields)):
+            for name, field in fields.items():
+                assert repr(getattr(rebuilt, name)) == repr(field)
+                assert np.asarray(getattr(rebuilt, name)).tobytes() == np.asarray(field).tobytes()
+            assert rebuilt != value and len({rebuilt, value}) == 2
+        text = ", ".join(f"{name}={field!r}" for name, field in fields.items())
+        assert repr(value) == f"{cls.__qualname__}({text})"
+    assert qg.AffineChannel(np.eye(3)).b.tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("make,error", [
+    pytest.param(lambda: qg.SWDecomposition("x", *np.zeros((3, 3))).reconstruct(), BadDimension,
+                 id="sw-string"),
+    pytest.param(lambda: qg.SWDecomposition(np.inf, np.zeros(3), np.zeros(3), np.zeros(3)),
+                 NonFiniteInput, id="sw-inf"),
+    pytest.param(lambda: qg.SWDecomposition(1j, np.zeros(3), np.zeros(3), np.zeros(3)),
+                 BadDimension, id="sw-complex"),
+    pytest.param(lambda: qg.AttackReport("bb84", [0.5, 0.5, 0.5], 0.25, 0.75, 0.5, 0.9),
+                 UnknownName, id="report-protocol"),
+    pytest.param(lambda: qg.AttackReport(None, [0.5, 0.5, 0.5], 0.25, 0.75, 0.5, 0.9),
+                 UnknownName, id="report-none"),
+    *(pytest.param(lambda k=k: qg.AttackReport("six-state", [0.5, 0.5, 0.5],
+                                               *[np.nan if i == k else 0.5 for i in range(4)]),
+                   NonFiniteInput, id=f"report-nan-{k}") for k in range(4)),
+    pytest.param(lambda: qg.AttackReport("six-state", [0.5, 0.5, 0.5], [0.25], 0.75, 0.5, 0.9),
+                 BadDimension, id="report-list"),
+])
+def test_hand_built_scalar_fields_are_checked(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_hand_built_report_takes_a_protocol_or_its_value():
+    report = qg.AttackReport("six-state", [0.5, 0.5, 0.5], 0.25, 0.75, 0.5, 0.9)
+    assert report.protocol is qg.Protocol.SIX_STATE
+    assert report.to_json() == {"protocol": "six-state", "eta": [0.5, 0.5, 0.5], "D": 0.25,
+                                "F": 0.75, "overlap": 0.5, "p_c": 0.9}
 
 
 def _main(argv) -> int:

@@ -159,20 +159,25 @@ def test_simulate_reduced_matches_closed_form(rng):
         assert abs(np.trace(out) - 1.0) < 1e-10
 
 
-def test_simulate_reduced_reuses_one_eigendecomposition(rng):
-    # the cached decomposition gives the bits of a fresh unitary_exp
+def test_simulate_reduced_reuses_one_eigendecomposition(rng, monkeypatch):
+    # the cached decomposition and propagator give the bits of a fresh unitary_exp:
+    # one eigendecomposition per spec, one propagator per (spec, t) for any number of rho0
+    exp_eig, calls = linalg._exp_eig, []
+    monkeypatch.setattr(linalg, "_exp_eig", lambda *args: calls.append(args[2]) or exp_eig(*args))
     for _ in range(50):
         spec = random_spec(rng)
-        rho0 = random_density(rng)
-        for t in rng.uniform(-10, 10, 3):
+        for t in [*rng.uniform(-10, 10, 3), 0.0, -0.0]:
             U = linalg.unitary_exp(dynamics.total_hamiltonian(spec), t)
-            assert linalg._exp_eig(*spec._eig, t).tobytes() == U.tobytes()
+            assert exp_eig(*spec._eig, t).tobytes() == U.tobytes()
             V = U[:, ::4]  # the columns that meet rho0 (x) |a1><a1|
-            expected = linalg.partial_trace_ancilla(V @ rho0 @ V.conj().T)
-            out = qg.simulate_reduced(spec, t, rho0)
-            assert out.tobytes() == expected.tobytes()
-            full = np.kron(rho0, np.diag([1.0, 0, 0, 0]))
-            assert np.max(np.abs(out - linalg.partial_trace_ancilla(U @ full @ U.conj().T))) < 1e-15
+            calls.clear()
+            for rho0 in (random_density(rng) for _ in range(3)):
+                expected = linalg.partial_trace_ancilla(V @ rho0 @ V.conj().T)
+                out = qg.simulate_reduced(spec, t, rho0)
+                assert out.tobytes() == expected.tobytes()
+                full = U @ np.kron(rho0, np.diag([1.0, 0, 0, 0])) @ U.conj().T
+                assert np.max(np.abs(out - linalg.partial_trace_ancilla(full))) < 1e-15
+            assert [np.copysign(1.0, c) for c in calls] == [np.copysign(1.0, t)]  # -0.0 is not 0.0
         assert spec._eig is spec._eig
 
 
