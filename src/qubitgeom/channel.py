@@ -158,9 +158,8 @@ class CanonicalForm(_Value):
     R: np.ndarray
 
     def __init__(self, Q, delta, R):
-        _freeze(self, "Q", Q, (3, 3))
-        _freeze(self, "delta", delta, (3,))
-        _freeze(self, "R", R, (3, 3))
+        for name, value, shape in zip(self._fields, (Q, delta, R), ((3, 3), (3,), (3, 3))):
+            _freeze(self, name, value, shape)
 
     def reconstruct(self) -> np.ndarray:
         return self.Q @ np.diag(self.delta) @ self.Q.T @ self.R

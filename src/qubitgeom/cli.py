@@ -42,8 +42,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
-    def error(self, message):
-        raise _ArgumentError(message)
+    def error(self, message):  # an unknown verb's refusal quotes VERBS, as 3.13's does not
+        m = re.match(r"argument verb: invalid choice: .*(?= \(choose from )", message)
+        raise _ArgumentError(f"{m[0]} (choose from {', '.join(map(repr, VERBS))})" if m else message)
 
     def print_help(self, file=None):  # argparse's own drops a failed write and exits 0
         raise _Help(self.format_help())
@@ -209,8 +210,9 @@ VERBS = {
 
 
 def _build_parser(verbs=VERBS) -> _Parser:
-    parser = _Parser(prog="qubitgeom")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    indent = "\n" + " " * len("usage: qubitgeom ")  # the usage as 3.11 wraps it; 3.13 does not
+    parser = _Parser(prog="qubitgeom", usage=f"qubitgeom [-h]{indent}{{{','.join(VERBS)}}}{indent}...")
+    sub = parser.add_subparsers(dest="verb", required=True, prog="qubitgeom")
     for name in verbs:
         p = sub.add_parser(name, help=VERBS[name].help)
         for flag, kwargs in VERBS[name].arguments.items():

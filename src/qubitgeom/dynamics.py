@@ -19,6 +19,7 @@ serves as the independent oracle for the closed form.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -85,8 +86,8 @@ def design_coupling(target) -> tuple[CouplingSpec, float]:
     s2 = 1.0 - float(p[0])  # <= 1: p_I is clipped at 0
     if s2 <= 1e-15:
         return _trusted(CouplingSpec, alpha=np.array([1.0, 0.0, 0.0])), 0.0
-    t = float(np.arcsin(np.sqrt(s2)))
-    return _trusted(CouplingSpec, alpha=np.sqrt(p[1:] / np.sum(p[1:]))), t
+    t = float(np.arcsin(math.sqrt(s2)))
+    return _trusted(CouplingSpec, alpha=np.sqrt(p[1:] / np.add.reduce(p[1:]))), t
 
 
 def total_hamiltonian(spec: CouplingSpec) -> np.ndarray:
@@ -101,9 +102,10 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     qchannel.density_to_bloch(rho0)  # rejects all but a 2x2 density matrix
     # rho0 (x) |a1><a1| is zero off rows and columns 0 and 4, so it evolves to
     # V rho0 V^H with V the columns 0 and 4 of the full unitary
-    if spec.__dict__.get("_t") != t.hex():  # keep the last t's columns, as _eig is kept
-        spec.__dict__.update(_t=t.hex(), _V=linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM])
-    evolved = spec._V @ np.asarray(rho0, dtype=complex) @ spec._V.conj().T
+    if spec.__dict__.get("_t") != t.hex():  # keep the last t's V and V^H, as _eig is kept
+        V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
+        spec.__dict__.update(_t=t.hex(), _V=V, _VH=V.conj().T)
+    evolved = spec._V @ np.asarray(rho0, dtype=complex) @ spec._VH
     return linalg._trace_ancilla(evolved, _ANCILLA_DIM)
 
 
@@ -121,7 +123,7 @@ class Trajectory(_Value):
 def trajectory(spec: CouplingSpec, t_grid) -> Trajectory:
     """Evaluate eta_of_t over an ascending 1-D grid of times."""
     t_grid = _real(t_grid, "time grid", (-1,))
-    if np.any(t_grid[1:] < t_grid[:-1]):
+    if np.logical_or.reduce(t_grid[1:] < t_grid[:-1]):
         raise BadDimension("time grid must be ascending")
     return _trusted(Trajectory, times=t_grid.copy(), etas=_eta_of_t(spec, t_grid))
 

@@ -13,10 +13,8 @@ approximation of a positive map - and the decomposition of any positive
 diagonal unital map into a convex mixture of a CP part and a CP part
 composed with the transpose.
 
-A projection tries every set of active faces at once: the KKT step of a set
-depends on the set and the pinned coordinates but not on the point, so each
-step matrix is computed once per pinning pattern. The Pauli weights of eta are
-0.25 + eta . _WEIGHT_STEP over any leading axes: the bits of 0.25 - n . (eta / 4).
+The Pauli weights of eta are 0.25 + eta . _WEIGHT_STEP over any leading axes:
+the bits of 0.25 - n . (eta / 4).
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ keeps such arrays, uncopied, in a value type built without its __init__.
 Where numpy's dispatch outweighs the work and numpy does not decide the bits, a
 kernel reads tolist() and does Python arithmetic, as require_hermitian does. BLAS
 products (written a.dot(b): @'s bits, less dispatch), svd and seeding stay numpy.
+On hot paths, call ufuncs and ndarray methods, not numpy's Python wrappers, which add a
+frame before the same C loop. Three stay: np.einsum in _trace_ancilla (ndarray.trace
+warns of overflow on 1e308 I_8), np.linalg.eigh, the public LAPACK entry, and
+np.count_nonzero in _real, the cheapest finiteness count numpy exposes.
 """
 
 from __future__ import annotations

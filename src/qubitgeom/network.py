@@ -6,12 +6,7 @@ in the tetrahedron D, and then delta is a Pauli mixture whose weights are
 the Choi eigenvalues of the channel. The network realises the mixture with
 an ancilla register prepared in a superposition whose amplitude-squares are
 the mixture weights. Only those weights matter for the induced channel, so
-NetworkSpec stores the weights; the real, nonnegative amplitudes sqrt(weight)
-appear only in its JSON form.
-
-run_exact applies the three stages on the density matrix directly;
-run_sampled draws mixture branches with a seeded generator (numpy PCG64)
-and averages, converging to run_exact at the usual 1/sqrt(n) rate.
+NetworkSpec stores the weights.
 """
 
 from __future__ import annotations
@@ -81,7 +76,8 @@ def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
 
 def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
                 seed: int) -> tuple[np.ndarray, float]:
-    """Monte Carlo execution: sample mixture branches and average.
+    """Monte Carlo execution: sample mixture branches and average, converging
+    to run_exact at the usual 1/sqrt(n) rate.
 
     Deterministic for a fixed seed (numpy default_rng, PCG64). n and seed are
     integers with 1 <= n < 2**63 and seed >= 0. Returns the averaged density

@@ -17,21 +17,24 @@ passes eta_y = -eta_min, where the overlap vanishes and p_c = 1. For the
 six-state protocol overlap = eta and no freedom remains. Disturbances up to
 1/2 (nonnegative eta_min) are supported; success_probability rejects F <= 0.
 
-probe_overlaps_dilation recomputes D, F and the overlap from an explicit
-four-dimensional probe dilation with Kraus pieces sqrt(p_k) sigma_k; it and
-the grid search brute_force_optimum, which binary-searches each grid row,
-are the independent oracles for the closed forms.
+The explicit probe dilation probe_overlaps_dilation and the grid search
+brute_force_optimum, which binary-searches each grid row, are the
+independent oracles for the closed forms.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
 from . import geometry
 from .errors import DisturbanceOutOfRange, EmptyIntersection, SymmetryViolation, UnknownName
 from .linalg import FACE_TOL, PAULIS, _freeze, _real, _trusted, _Value
+
+_NX, _NY, _NZ = geometry.FACE_NORMALS.T[:, :, None]  # brute_force_optimum's, (face, row) each
+_PREFIX = _NY[:, 0] > 0  # the faces whose test passes on a prefix of a grid row
 
 
 class Protocol(enum.Enum):
@@ -96,7 +99,7 @@ def _p_c(ov: float, eta_x: float) -> float:  # at fidelity F = (1 + eta_x) / 2
     F = (1.0 + eta_x) / 2.0
     if F <= 0.0:
         raise DisturbanceOutOfRange(f"fidelity {F} <= 0 leaves p_c undefined")
-    return 0.5 + 0.5 * np.sqrt(max(0.0, 1.0 - ov * ov / F))
+    return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - ov * ov / F))
 
 
 def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
@@ -116,7 +119,7 @@ def optimal_attack(protocol: Protocol | str, d_max: float) -> AttackReport:
     eta = np.array([eta_min, eta_y, eta_min])  # symmetric and in D by construction
     ov = _overlap(protocol, eta)
     return _trusted(AttackReport, protocol=protocol, eta=eta, disturbance=d_max,
-                    fidelity=1.0 - d_max, overlap=ov, p_c=float(_p_c(ov, eta_min)))
+                    fidelity=1.0 - d_max, overlap=ov, p_c=_p_c(ov, eta_min))
 
 
 def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
@@ -129,10 +132,8 @@ def probe_overlaps_dilation(eta) -> tuple[float, float, float]:
     p = geometry._cp_weights(_real(eta, "eta", (3,)), "eta {} is not CP", eta)
     kraus = np.sqrt(p)[:, None, None] * PAULIS
     E00, E01, E11 = kraus[:, 0, 0], kraus[:, 1, 0], kraus[:, 1, 1]
-    F = float(np.real(E00.conj() @ E00))
-    D = float(np.real(E01.conj() @ E01))
-    ov = float(np.real(E00.conj() @ E11))
-    return F, D, ov
+    return (float((E00.conj() @ E00).real), float((E01.conj() @ E01).real),
+            float((E00.conj() @ E11).real))
 
 
 def brute_force_optimum(protocol: Protocol | str, d_max: float,
@@ -161,21 +162,19 @@ def brute_force_optimum(protocol: Protocol | str, d_max: float,
         return np.array([eta_min, eta_min, eta_min])
     s = np.arange(eta_min, 1.0 + resolution / 2.0, resolution)
     y_grid = np.arange(-1.0, 1.0 + resolution / 2.0, resolution)
-    # A face test passes on a prefix (n[1] > 0) or a suffix of y_grid; its split
+    # A face test passes on a prefix (_PREFIX) or a suffix of y_grid; its split
     # k[face, row] is guessed on the exact plane, a few ulps (< 3e-15) from the rounded
     # test's edge. Columns lie >= 1e-5 apart, so one test at k - 1 and k settles k.
-    n = geometry.FACE_NORMALS[:, :, None]  # face, component, row
-    prefix = n[:, 1, 0] > 0
-    k = np.searchsorted(y_grid, (1.0 + FACE_TOL - (n[:, 0] + n[:, 2]) * s) / n[:, 1])
-    y = y_grid[np.array([k - 1, k]).clip(0, len(y_grid) - 1)]
+    k = y_grid.searchsorted((1.0 + FACE_TOL - (_NX + _NZ) * s) / _NY)
+    y = y_grid[np.minimum(np.maximum(np.array([k - 1, k]), 0), len(y_grid) - 1)]
     # face products of (s, y, s), summed left to right as a matmul sums them
-    before, at = (n[:, 0] * s + n[:, 1] * y + n[:, 2] * s - 1.0 <= FACE_TOL) == prefix[:, None]
+    before, at = (_NX * s + _NY * y + _NZ * s - 1.0 <= FACE_TOL) == _PREFIX[:, None]
     k = k + (at & (k < len(y_grid))) - (~before & (k > 0))
-    lo, hi = k[~prefix].max(axis=0), k[prefix].min(axis=0)  # allowed: y_grid[lo:hi]
-    if not (lo < hi).any():
+    lo, hi = np.maximum.reduce(k[~_PREFIX]), np.minimum.reduce(k[_PREFIX])  # allowed: y_grid[lo:hi]
+    if not np.logical_or.reduce(lo < hi):
         raise EmptyIntersection(f"no allowed attack on the grid at resolution {resolution}")
-    z = np.searchsorted(y_grid, -s)  # fl(s + y) >= 0 exactly when y >= -s
-    cols = np.array([z - 1, z]).clip(lo, hi - 1)  # smaller y first; >= -1, masked where lo >= hi
-    vals = np.where(lo < hi, np.abs((s + y_grid[cols]) / 2.0), np.inf).T
-    i, c = np.unravel_index(np.argmin(vals), vals.shape)
+    z = y_grid.searchsorted(-s)  # fl(s + y) >= 0 exactly when y >= -s
+    cols = np.minimum(np.maximum(np.array([z - 1, z]), lo), hi - 1)  # smaller y first; >= -1,
+    vals = np.where(lo < hi, np.abs((s + y_grid[cols]) / 2.0), np.inf).T  # masked where lo >= hi
+    i, c = np.unravel_index(vals.argmin(), vals.shape)
     return np.array([s[i], y_grid[cols[c, i]], s[i]])

@@ -92,7 +92,7 @@ def _fields(v: np.ndarray, ncols: int) -> str:
     """The ".17g" fields of v, a newline after every ncols-th and a comma after the others."""
     quads, padded, heads = _tables()
     a = np.abs(v)
-    slow = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))  # each fix-up indexes only its rows
+    slow = (~((a >= 1e-4) & (a < 1e16))).nonzero()[0]  # each fix-up indexes only its rows
     a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
     k = ((a.view(np.int64) >> 52) - 1023) * 1233 >> 12  # floor(e log10 2), e the binary
     k += a >= _DECADES[k + 5]  # exponent: the decade of a or the one below
@@ -109,7 +109,7 @@ def _fields(v: np.ndarray, ncols: int) -> str:
         words[:, i] = (quads if i < 5 else padded).take(r)  # trailing zeros of the last group
         if i < 5:  # and of a group that only zero groups follow are pads
             words[rows, i] = padded.take(r[rows])
-        rows = np.flatnonzero(r == 0) if i == 5 else rows[r[rows] == 0]
+        rows = (r == 0).nonzero()[0] if i == 5 else rows[r[rows] == 0]
     np.add(np.multiply(k, 10, out=head), sig, out=head)  # row (k * 10 + d) * 2 + (v < 0)
     head *= 2  # of the heads; the sign bit of v, shifted down, is -1 where v < 0
     head -= np.right_shift(v.view(np.int64), 63, out=q)
@@ -118,8 +118,8 @@ def _fields(v: np.ndarray, ncols: int) -> str:
     words[:, 6] = np.frombuffer(b",   ", np.uint32)
     out[ncols - 1::ncols, -4] = ord("\n")
     out[rows[k[rows] == 0], 7] = _PAD  # a whole number has no dot
-    for e in range(1, k.max() + 1):  # rows with k = e > 0: digits 1..e move left over the
-        rows = np.flatnonzero(k == e)  # dot, their pads back to zeros
+    for e in range(1, np.maximum.reduce(k) + 1):  # rows with k = e > 0: digits 1..e move left
+        rows = (k == e).nonzero()[0]  # over the dot, their pads back to zeros
         digits = out[rows, 8:8 + e]
         out[rows, 7:7 + e] = np.where(digits == _PAD, ord("0"), digits)
         out[rows, 7 + e] = np.where(out[rows, 8 + e] == _PAD, _PAD, ord("."))

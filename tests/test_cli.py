@@ -46,6 +46,8 @@ def run_cli(*args, check=True):
         (["sw", "--eta", "-0.9", "-0.8", "-0.7"], "sw_eta.json"),
         (["qkd", "--protocol", "six-state", "--dmax", "0.2", "--grid-resolution", "0.002"],
          "qkd_six_state_grid.json"),
+        (["qkd", "--protocol", "four-state", "--dmax", "0.4", "--grid-resolution", "0.005"],
+         "qkd_four_state_grid.json"),
         (["canon", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "canon_rotated.json"),
         (["-h"], "help.txt"),  # every verb's parser
         (["check", "-h"], "help_check.txt"),  # the named verb's alone
@@ -76,6 +78,20 @@ def test_argparse_refusal_bytes(argv, golden):
     proc = run_cli(*argv, check=False)
     expected = (GOLDEN_DIR / golden).read_bytes()
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", expected)
+
+
+def test_usage_and_unknown_verb_refusal_are_the_clis_own(monkeypatch):
+    """The usage line, whatever the width, and the unknown-verb refusal from the unquoted
+    choices that Python 3.13's argparse writes: the bytes of help.txt and bogus_verb.stderr."""
+    usage = (GOLDEN_DIR / "help.txt").read_text().split("\n\n")[0] + "\n"
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli._build_parser().format_usage() == usage
+    unquoted = f"argument verb: invalid choice: 'bogus' (choose from {', '.join(cli.VERBS)})"
+    with pytest.raises(cli._ArgumentError) as exc:
+        cli._Parser().error(unquoted)
+    assert (GOLDEN_DIR / "bogus_verb.stderr").read_text() == cli.qg.serialize.dumps(
+        {"error": "_ArgumentError", "message": str(exc.value)}) + "\n"
 
 
 def test_main_builds_only_the_named_verb(monkeypatch, capsys):

@@ -113,6 +113,16 @@ def test_optimal_attack_pc_is_success_probability():
             assert r.p_c == qg.success_probability(proto, r.eta)
 
 
+@pytest.mark.parametrize("d", [0.05, 0.25, 1 / 3, 0.45])
+@pytest.mark.parametrize("proto", [FOUR, SIX])
+def test_success_probability_is_the_reports_float(proto, d):
+    """A Python float, as AttackReport.p_c is, with the report's bits."""
+    r = qg.optimal_attack(proto, d)
+    p_c = qg.success_probability(proto, r.eta)
+    assert type(p_c) is float and type(r.p_c) is float
+    assert p_c.hex() == r.p_c.hex()
+
+
 def test_optimal_attack_beyond_one_third():
     # for eta_min < 1/3 the face eta_y = 2 eta_min - 1 overshoots overlap 0,
     # and (eta_min, -eta_min, eta_min) in D reaches it
