@@ -34,8 +34,7 @@ def bloch_to_density(s: np.ndarray) -> np.ndarray:
 
 
 def _in_ball(s: np.ndarray) -> np.ndarray:
-    far = max(map(abs, s.tolist())) > 1.0 + linalg.ORTHO_TOL  # outside; s . s may overflow
-    norm = math.hypot(*s.tolist()) if far else math.sqrt(s.dot(s))  # else np.linalg.norm to the bit
+    norm = math.hypot(*s.tolist())
     if norm > 1.0 + linalg.ORTHO_TOL:
         raise UnphysicalBloch(f"|s| = {norm} exceeds 1")
     return s
@@ -81,7 +80,7 @@ class AffineChannel(_Value):
 
     @cached_property  # A and b are read-only, so each of these is computed once
     def is_unital(self) -> bool:
-        return math.sqrt(self.b.dot(self.b)) <= linalg.ROUND_TOL  # np.linalg.norm to the bit
+        return math.hypot(*self.b.tolist()) <= linalg.ROUND_TOL
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -90,7 +89,7 @@ class AffineChannel(_Value):
 
     @cached_property
     def _canonical(self) -> "CanonicalForm":
-        Q, delta, Vt = np.linalg.svd(self.A)  # svd3 without its check: A is frozen
+        Q, delta, Vt = linalg._svd(self.A)  # svd3 without its check: A is frozen
         for M in (Q.T, Vt):  # proper Q, then proper R = Q V^T: the bits of sigma S and (Q S) V^T
             if _det3(M) < 0:
                 M[2] = -M[2]
@@ -111,8 +110,11 @@ class AffineChannel(_Value):
 
 
 def apply(ch: AffineChannel, s: np.ndarray) -> np.ndarray:
-    """Image A s + b of a Bloch vector under the channel."""
-    return ch.A @ _real(s, "Bloch vector", (3,)) + ch.b
+    """Image A s + b of a Bloch vector under the channel; NonFiniteInput if it overflows."""
+    s = _real(s, "Bloch vector", (3,))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan on overflow: refused below
+        image = ch.A @ s + ch.b
+    return _real(image, "the image A s + b")
 
 
 def choi(ch: AffineChannel) -> np.ndarray:
@@ -134,8 +136,8 @@ def is_cp(ch: AffineChannel) -> tuple[bool, float]:
     """Complete-positivity test via the Choi spectrum: (flag, min_eigenvalue), flag
     True iff geometry._cp, the verdict on D, passes the spectrum: its face slack
     -4 * min_eigenvalue is at most FACE_TOL (1e-9). On a diagonal map it is in_D's."""
-    w = geometry._weights(ch._factors[0]) if ch.is_unital else np.linalg.eigh(choi(ch))[0]
-    return geometry._cp(w), min(w.tolist())
+    w = (geometry._weights(ch._factors[0]) if ch.is_unital else linalg._eigh(choi(ch))[0]).tolist()
+    return geometry._cp(w), min(w)
 
 
 def is_positive_unital(ch: AffineChannel) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import BadDimension, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _real, _trusted, _Value
+from .linalg import ROUND_TOL, _freeze, _real, _trusted, _unit_sum, _Value
 
 _ANCILLA_DIM = 4
 
@@ -44,9 +44,8 @@ class CouplingSpec(_Value):
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        a = _freeze(self, "alpha", alpha, (3,))
-        if not abs(np.sum(a * a) - 1.0) <= ROUND_TOL:
-            raise WeightsNotNormalized(f"alpha^2 sums to {np.sum(a * a)}, expected 1")
+        a = _freeze(self, "alpha", alpha, (3,)).tolist()
+        _unit_sum([x * x for x in a], "squared couplings")  # Python floats: inf, no warning
 
     @classmethod
     def from_alpha2(cls, alpha2) -> "CouplingSpec":

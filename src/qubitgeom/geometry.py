@@ -19,14 +19,13 @@ the bits of 0.25 - n . (eta / 4).
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptyIntersection, NonFiniteInput, NotCP, OutsideCube, WeightsNotNormalized
-from .linalg import FACE_TOL, ROUND_TOL, _freeze, _real, _trusted, _Value
+from .errors import EmptyIntersection, NotCP, OutsideCube
+from .linalg import FACE_TOL, _freeze, _real, _trusted, _unit_sum, _Value
 
 VERTICES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
 
@@ -46,7 +45,7 @@ for _a in (VERTICES, FACE_NORMALS, NONCP_CORNERS, TRANSPOSE_ETA):
 def in_D(eta) -> bool:
     """Tetrahedron membership: true iff eta is a CP diagonal unital map, that
     is iff its largest face slack n . eta - 1 is at most FACE_TOL (1e-9)."""
-    return _cp(_weights(_real(eta, "eta", (3,))))
+    return _cp(_weights(_real(eta, "eta", (3,))).tolist())
 
 
 class PauliMixture(_Value):
@@ -63,7 +62,7 @@ class PauliMixture(_Value):
     @property
     def signed(self) -> bool:
         """True iff the largest face slack exceeds FACE_TOL (1e-9)."""
-        return not _cp(self.p)
+        return not _cp(self.p.tolist())
 
 
 def pauli_weights(eta) -> PauliMixture:
@@ -75,16 +74,16 @@ def _weights(eta: np.ndarray) -> np.ndarray:  # eta: floats of shape (..., 3)
     return 0.25 + eta.dot(_WEIGHT_STEP)  # no n . eta to overflow near 1e308
 
 
-def _cp(p: np.ndarray) -> bool:  # p: the weights of eta, or 4 Choi eigenvalues
+def _cp(p: list[float]) -> bool:  # p: the weights of eta, or 4 Choi eigenvalues, as floats
     """The one verdict on D: its largest face slack n_k . eta - 1 = -4 p_k is <= FACE_TOL."""
-    return -4.0 * min(p.tolist()) <= FACE_TOL
+    return -4.0 * min(p) <= FACE_TOL
 
 
 def _cp_weights(eta: np.ndarray, refusal: str, *args) -> np.ndarray:
     """eta's weights clipped at 0 if _cp passes them, else NotCP(refusal.format(*args, least=l)),
     made only then, with l the least weight."""
     p = _weights(eta)
-    if not _cp(p):
+    if not _cp(p.tolist()):
         raise NotCP(refusal.format(*args, least=min(p.tolist())))
     return np.maximum(p, 0.0)
 
@@ -93,11 +92,7 @@ def mixture_to_eta(p) -> np.ndarray:
     """Convex (or affine) combination of the vertices; inverse of
     pauli_weights. NonFiniteInput if the weights' sum or the combination overflows."""
     p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
-    total = sum(p.tolist())  # numpy's order, in Python floats: an overflow gives inf, not a warning
-    if math.isinf(total):
-        raise NonFiniteInput("the weights' sum overflows")
-    if abs(total - 1.0) > ROUND_TOL:
-        raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
+    _unit_sum(p.tolist(), "weights")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or nan: refused below
         eta = VERTICES.T @ p
     return _real(eta, "the combination of the vertices")
@@ -134,18 +129,17 @@ def _project_polytope(y: np.ndarray, free: tuple[bool, bool, bool]) -> np.ndarra
 
     Takes the KKT step x_k = y - W_k (n . y - 1) for every active set k at once;
     the projection onto a nonempty convex polytope is among the candidates that
-    lie in D. Raises EmptyIntersection if none does, and OutsideCube if
-    max|y| > 1e6, where a candidate's rounding error, about eps * |y|, starts
-    to outgrow the absolute FACE_TOL it is checked against.
+    lie in D, as _cp reads their weights. Raises EmptyIntersection if none
+    does, and OutsideCube if max|y| > 1e6, where a candidate's rounding error,
+    about eps * |y|, starts to outgrow the absolute FACE_TOL it is checked against.
     """
     if max(map(abs, y.tolist())) > 1e6:
         raise OutsideCube(f"eta {y} too far from D to project (max |eta_k| > 1e6)")
     X = y - _steps(free).dot(FACE_NORMALS.dot(y) - 1.0).reshape(-1, 3)
-    worst = np.maximum.reduce(X.dot(FACE_NORMALS.T) - 1.0, axis=1).tolist()
     d2 = np.add.reduce((X - y) ** 2, axis=1).tolist()
     best, best_d2 = None, np.inf
-    for k, (w, d) in enumerate(zip(worst, d2)):
-        if w <= FACE_TOL and d < best_d2 - 1e-15:
+    for k, (p, d) in enumerate(zip(_weights(X).tolist(), d2)):
+        if d < best_d2 - 1e-15 and _cp(p):
             best, best_d2 = k, d
     if best is None:
         raise EmptyIntersection("constraint slice does not meet the tetrahedron")
@@ -217,7 +211,7 @@ def sw_decompose(eta) -> SWDecomposition:
     if radius - 1.0 > FACE_TOL:
         raise OutsideCube(f"eta {eta} outside [-1, 1]^3")
     w = _weights(eta)
-    if _cp(w):
+    if _cp(w.tolist()):
         return _trusted(SWDecomposition, p=1.0, cp1=eta.copy(), corner=TRANSPOSE_ETA, cp2=VERTICES[0])
     if radius > 1.0:  # the violated face's slack s becomes (s + 1 - radius) / radius > 0
         eta = eta / radius

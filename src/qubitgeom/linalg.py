@@ -13,13 +13,19 @@ On hot paths, call ufuncs and ndarray methods, not numpy's Python wrappers, whic
 frame before the same C loop. Three stay: np.einsum in _trace_ancilla (ndarray.trace
 warns of overflow on 1e308 I_8), np.linalg.eigh, the public LAPACK entry, and
 np.count_nonzero in _real, the cheapest finiteness count numpy exposes.
+
+One source per rule. _unit_sum adds weights left to right from 0.0, numpy's order for up
+to eight values, never with sum(): 3.12's is compensated, so sum([0.5, 1e16, -1e16, 0.5])
+is 1.0 there and 0.5 on 3.11. The norm of a 3-vector is math.hypot: the same bits on 3.10
+to 3.13, and inf, not a warning, past the largest double. _svd and _eigh refuse a singular
+value or eigenvalue there.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError
+from .errors import BadDimension, NonFiniteInput, NonHermitianInput, QubitGeomError, WeightsNotNormalized
 
 # Tolerances. Every verdict on the CP tetrahedron D is geometry._cp, the one test of its
 # largest face slack n . eta - 1; one on the cube [-1, 1]^3 reads |eta_k| - 1 or
@@ -51,6 +57,16 @@ def _real(x, name: str, shape: tuple | None = None) -> np.ndarray:
     if np.count_nonzero(np.isfinite(a)) != a.size:  # a C loop, where ndarray.all is Python
         raise NonFiniteInput(f"{name} must be finite")
     return a
+
+
+def _unit_sum(values: list[float], name: str) -> None:
+    """The one unit-sum test: refuse floats whose sum is not 1 within ROUND_TOL."""
+    total = 0.0
+    for v in values:  # left to right: numpy's order, where sum() compensates since Python 3.12
+        total += v
+    if abs(total - 1.0) > ROUND_TOL:  # NonFiniteInput past the largest double
+        raise (NonFiniteInput(f"the {name}' sum overflows") if abs(total) == np.inf
+               else WeightsNotNormalized(f"{name} sum to {total}, expected 1"))
 
 
 class _Value:  # an immutable value type: its fields are its annotations, set by __init__
@@ -115,20 +131,35 @@ def hermitian_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with real eigenvalues sorted
     ascending and orthonormal eigenvectors as columns.
 
-    Raises NonFiniteInput if M holds NaN or infinity, NonHermitianInput if
-    it is not Hermitian within ROUND_TOL.
+    Raises NonFiniteInput if M holds NaN or infinity or an eigenvalue
+    overflows, NonHermitianInput if it is not Hermitian within ROUND_TOL.
     """
-    return np.linalg.eigh(require_hermitian(M))
+    return _eigh(require_hermitian(M))
+
+
+def _eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # M: finite and Hermitian
+    w, V = np.linalg.eigh(M)
+    if max(-w[0], w[-1]) == np.inf:  # finite M, but an eigenvalue past the largest double
+        raise NonFiniteInput("an eigenvalue overflows")
+    return w, V
 
 
 def svd3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition of a real 3x3 matrix.
 
     Returns (U, sigma, V) with A = U @ diag(sigma) @ V.T, U and V
-    orthogonal, and sigma nonnegative in descending order.
+    orthogonal, and sigma nonnegative in descending order. Raises
+    NonFiniteInput for NaN or infinity, or a sigma past the largest double.
     """
-    U, s, Vt = np.linalg.svd(_real(A, "A", (3, 3)))
+    U, s, Vt = _svd(_real(A, "A", (3, 3)))
     return U, s, Vt.T
+
+
+def _svd(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # A: finite, real 3x3
+    U, s, Vt = np.linalg.svd(A)
+    if s[0] == np.inf:  # finite A, but its largest singular value past the largest double
+        raise NonFiniteInput("a singular value overflows")
+    return U, s, Vt
 
 
 def unitary_exp(H: np.ndarray, t: float) -> np.ndarray:

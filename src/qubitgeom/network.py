@@ -20,7 +20,7 @@ from . import channel as qchannel
 from . import geometry
 from .errors import (BadDimension, DisturbanceOutOfRange, NotUnital, UnphysicalBloch,
                      WeightsNotNormalized)
-from .linalg import ORTHO_TOL, ROUND_TOL, _det3, _freeze, _real, _trusted, _Value
+from .linalg import ORTHO_TOL, _det3, _freeze, _real, _trusted, _unit_sum, _Value
 
 
 class NetworkSpec(_Value):
@@ -33,11 +33,13 @@ class NetworkSpec(_Value):
     weights: np.ndarray
 
     def __init__(self, u1, u2, weights):
-        w = _freeze(self, "weights", weights, (4,))
-        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= ROUND_TOL):
-            raise WeightsNotNormalized("weights must be nonnegative with unit sum")
+        w = _freeze(self, "weights", weights, (4,)).tolist()
+        if min(w) < 0.0:
+            raise WeightsNotNormalized("weights must be nonnegative")
+        _unit_sum(w, "weights")
         for M in (_freeze(self, "u1", u1, (3, 3)), _freeze(self, "u2", u2, (3, 3))):
-            if not (np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and _det3(M) >= 0):
+            if not (max(map(abs, M.ravel().tolist())) <= 1.0 + ORTHO_TOL  # M.T @ M cannot overflow
+                    and np.max(np.abs(M.T @ M - np.eye(3))) <= ORTHO_TOL and _det3(M) >= 0):
                 raise UnphysicalBloch("u1, u2 must be proper rotations")
 
     def to_json(self) -> dict:
@@ -48,7 +50,8 @@ class NetworkSpec(_Value):
     def from_json(cls, obj: dict) -> "NetworkSpec":
         if not (isinstance(obj, dict) and {"u1", "u2", "amplitudes"} <= obj.keys()):
             raise BadDimension("network JSON needs an object with u1, u2 and amplitudes")
-        return cls(obj["u1"], obj["u2"], _real(obj["amplitudes"], "amplitudes", (4,)) ** 2)
+        amplitudes = _real(obj["amplitudes"], "amplitudes", (4,)).tolist()  # a * a: inf, no warning
+        return cls(obj["u1"], obj["u2"], [a * a for a in amplitudes])
 
 
 def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
@@ -94,7 +97,7 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     s0 = spec.u1.dot(qchannel.density_to_bloch(rho0))
     s_avg = spec.u2.dot(p_hat.dot(geometry.VERTICES) * s0)
     # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
-    norm = math.sqrt(s_avg.dot(s_avg))  # np.linalg.norm to the bit
+    norm = math.hypot(*s_avg.tolist())
     if norm > 1.0:
         s_avg = s_avg / norm
     stderr = math.sqrt(max(0.0, 1.0 - (p_hat**2).sum()) / n)

@@ -82,7 +82,7 @@ def _overlap(protocol: Protocol, eta: np.ndarray) -> float:  # eta: 3 finite flo
         raise SymmetryViolation("four-state attacks need eta_x = eta_z")
     if protocol is Protocol.SIX_STATE and (abs(x - y) > FACE_TOL or abs(y - z) > FACE_TOL):
         raise SymmetryViolation("six-state attacks need eta_x = eta_y = eta_z")
-    return (x + y) / 2.0 if protocol is Protocol.FOUR_STATE else x
+    return x / 2.0 + y / 2.0 if protocol is Protocol.FOUR_STATE else x  # no x + y to overflow
 
 
 def success_probability(protocol: Protocol | str, eta) -> float:

@@ -21,7 +21,8 @@ def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "qubitgeom.cli", *args],
         capture_output=True,
-        env=dict(os.environ, COLUMNS="80"),  # the width argparse wraps its help to
+        # the width argparse wraps its help to; any warning ends the process, exit 1
+        env=dict(os.environ, COLUMNS="80", PYTHONWARNINGS="error"),
     )
     if check:
         assert proc.returncode == 0, proc.stderr.decode()
@@ -142,6 +143,18 @@ def test_overflowing_input_error_is_one_json_object(argv, error):
                           capture_output=True)
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.count(b"\n") == 1 and json.loads(proc.stderr)["error"] == error
+
+
+@pytest.mark.parametrize("verb", ["check", "canon", "compile", "run"])
+def test_overflowing_singular_value_error_is_one_json_object(verb, tmp_path):
+    """A finite A of 1.7e308 has a singular value past the largest double: NonFiniteInput,
+    where a CP verdict, a canonical form or a NotCP message would read inf."""
+    f = tmp_path / "ch.json"
+    f.write_text(json.dumps({"A": [[1.7e308] * 3] * 3}))
+    proc = run_cli(verb, "--in", str(f), check=False)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert json.loads(proc.stderr) == {"error": "NonFiniteInput", "message": "a singular value overflows"}
 
 
 def test_dumps_null_and_unknown_type():

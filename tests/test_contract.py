@@ -4,10 +4,12 @@ and every CLI verb exits 0 or 2, never 1 (an internal fault).
 
 The fuzz replaces one argument of a valid call at a time, and a fixed list of
 special values goes through every such argument. Arguments that take
-numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, wrong
-shapes, complex values and negative or huge integers, and so does a protocol,
-which takes a Protocol or its value; an argument that takes a library object
-(a channel, a spec, a network) keeps a valid one.
+numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, floats
+over the whole double range, wrong shapes, complex values and negative or huge
+integers, and so does a protocol, which takes a Protocol or its value; an
+argument that takes a library object (a channel, a spec, a network) keeps a
+valid one. Named cases hold finite input near the largest double to a refusal
+with no warning.
 
 A sweep over the valid extremes (the vertices, corners, edges and faces of D,
 singular and improper channels, and the attack budgets 0, 1/3 and 1/2) holds
@@ -95,13 +97,14 @@ _SPECIAL = [None, "abc", "", "1e400", True, np.nan, np.inf, -np.inf, 1j, [1j, 0.
             [[]], [[1.0, 2.0], [3.0]], ["a", "b", "c"], {"u1": 1}, object(), -1, 0, 2**63, 2**70,
             -(2**70), 10**400, [np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], np.full((2, 2), np.nan),
             np.zeros((0, 0))]
+FLOATS = st.floats(-1e6, 1e6) | st.floats(-1.7e308, 1.7e308)  # moderate, and the whole double range
 ADVERSARIAL = st.one_of(
     st.sampled_from(_SPECIAL),
     st.integers(-(2**70), 2**70),
-    st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf, -np.inf]),
+    FLOATS | st.sampled_from([np.nan, np.inf, -np.inf]),
     arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
-           elements=st.floats(-1e6, 1e6) | st.sampled_from([np.nan, np.inf])),
-    st.lists(st.floats(-1e6, 1e6) | st.sampled_from([np.nan, "x", None]), max_size=5),
+           elements=FLOATS | st.sampled_from([np.nan, np.inf])),
+    st.lists(FLOATS | st.sampled_from([np.nan, "x", None]), max_size=5),
 )
 
 
@@ -211,6 +214,56 @@ def test_every_special_value_in_every_slot(slot):
 def test_named_leaks_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+_M = 1.7e308  # near the largest double: finite input whose sums, squares or products overflow
+_HUGE = qg.AffineChannel(np.full((3, 3), _M))  # unital, its largest singular value 5.1e308
+_HUGE_B = qg.AffineChannel(np.full((3, 3), _M), [_M, 0.0, 0.0])
+_I3 = np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: qg.apply(_HUGE, [1.0, 1.0, 1.0]), NonFiniteInput, "image", id="apply-overflow"),
+    pytest.param(lambda: qg.NetworkSpec(1e200 * np.eye(3), np.eye(3), [1.0, 0.0, 0.0, 0.0]),
+                 UnphysicalBloch, "rotations", id="NetworkSpec-rotation-1e200"),
+    pytest.param(lambda: qg.NetworkSpec.from_json({"u1": _I3, "u2": _I3, "amplitudes": [1e200, 0, 0, 0]}),
+                 NonFiniteInput, "weights", id="NetworkSpec.from_json-amplitude-1e200"),
+    pytest.param(lambda: qg.NetworkSpec(np.eye(3), np.eye(3), [_M, _M, 0.0, 0.0]), NonFiniteInput,
+                 "^the weights' sum overflows$", id="NetworkSpec-weight-sum-overflow"),
+    pytest.param(lambda: qg.CouplingSpec([1e200, 0.0, 0.0]), NonFiniteInput,
+                 "^the squared couplings' sum overflows$", id="CouplingSpec-square-overflow"),
+    pytest.param(lambda: qg.CouplingSpec.from_alpha2([_M, _M, 0.0]), NonFiniteInput,
+                 "^the squared couplings' sum overflows$", id="from_alpha2-sum-overflow"),
+    # left to right the sum is 0.5, as numpy's; Python 3.12's compensated sum() makes it 1.0
+    pytest.param(lambda: qg.mixture_to_eta([0.5, 1e16, -1e16, 0.5]), WeightsNotNormalized,
+                 r"^weights sum to 0\.5, expected 1$", id="mixture_to_eta-cancelling-sum"),
+    *(pytest.param(lambda fn=fn: fn(_HUGE), NonFiniteInput, "^a singular value overflows$",
+                   id=f"{fn.__name__}-sigma-overflow")
+      for fn in (qg.is_cp, qg.canonical_form, qg.is_positive_unital, qg.compile_channel)),
+    pytest.param(lambda: qg.svd3(np.full((3, 3), _M)), NonFiniteInput, "^a singular value overflows$",
+                 id="svd3-sigma-overflow"),
+    pytest.param(lambda: qg.hermitian_eig([[_M, _M], [_M, -_M]]), NonFiniteInput,
+                 "^an eigenvalue overflows$", id="hermitian_eig-eigenvalue-overflow"),
+    pytest.param(lambda: qg.unitary_exp([[_M, _M], [_M, -_M]], 1.0), NonFiniteInput,
+                 "^an eigenvalue overflows$", id="unitary_exp-eigenvalue-overflow"),
+    pytest.param(lambda: qg.is_cp(qg.AffineChannel([[-_M, -_M, _M], [_M, _M, -_M], [-_M, -_M, -_M]],
+                                                   [0.0, _M, _M])),
+                 NonFiniteInput, "^an eigenvalue overflows$", id="is_cp-choi-eigenvalue-overflow"),
+    pytest.param(lambda: qg.overlap(FOUR, [_M] * 3), None, None, id="overlap-four-state-1.7e308"),
+    pytest.param(lambda: qg.is_cp(_HUGE_B), None, None, id="is_cp-non-unital-1.7e308"),
+    pytest.param(lambda: qg.AffineChannel(np.eye(3), [1e200, 0.0, 0.0]).is_unital, None, None,
+                 id="is_unital-b-1e200"),
+])
+def test_overflow_is_refused_without_warning(call, error, match):
+    """Finite input near the largest double: the named refusal (error None: a finite
+    result), and no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            assert _finite(call())
+        else:
+            with pytest.raises(error, match=match):
+                call()
 
 
 # Valid extreme inputs: the vertices and non-CP corners of D, the edge midpoints
