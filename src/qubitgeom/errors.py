@@ -14,7 +14,7 @@ class BadDimension(QubitGeomError):
 
 
 class NonFiniteInput(QubitGeomError):
-    """An input holds NaN or infinity, or is so large that the result overflows."""
+    """An input holds NaN or infinity, overflows the result or stalls an eigendecomposition."""
 
 
 class UnphysicalBloch(QubitGeomError):

@@ -74,6 +74,10 @@ def _weights(eta: np.ndarray) -> np.ndarray:  # eta: floats of shape (..., 3)
     return 0.25 + eta.dot(_WEIGHT_STEP)  # no n . eta to overflow near 1e308
 
 
+def _eta(p: np.ndarray) -> np.ndarray:  # p: 4 floats; the inverse of _weights, one eta at a time
+    return VERTICES.T.dot(p)
+
+
 def _cp(p: list[float]) -> bool:  # p: the weights of eta, or 4 Choi eigenvalues, as floats
     """The one verdict on D: its largest face slack n_k . eta - 1 = -4 p_k is <= FACE_TOL."""
     return -4.0 * min(p) <= FACE_TOL
@@ -94,7 +98,7 @@ def mixture_to_eta(p) -> np.ndarray:
     p = (p if isinstance(p, PauliMixture) else PauliMixture(p)).p
     _unit_sum(p.tolist(), "weights")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves inf or nan: refused below
-        eta = VERTICES.T @ p
+        eta = _eta(p)
     return _real(eta, "the combination of the vertices")
 
 

@@ -131,14 +131,17 @@ def hermitian_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with real eigenvalues sorted
     ascending and orthonormal eigenvectors as columns.
 
-    Raises NonFiniteInput if M holds NaN or infinity or an eigenvalue
-    overflows, NonHermitianInput if it is not Hermitian within ROUND_TOL.
+    Raises NonFiniteInput for NaN or infinity, an eigenvalue that overflows or no
+    convergence, NonHermitianInput if M is not Hermitian within ROUND_TOL.
     """
     return _eigh(require_hermitian(M))
 
 
 def _eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # M: finite and Hermitian
-    w, V = np.linalg.eigh(M)
+    try:
+        w, V = np.linalg.eigh(M)
+    except np.linalg.LinAlgError:  # entries spanning 1e-300 to 1e300 can stall LAPACK
+        raise NonFiniteInput("the eigendecomposition did not converge") from None
     if max(-w[0], w[-1]) == np.inf:  # finite M, but an eigenvalue past the largest double
         raise NonFiniteInput("an eigenvalue overflows")
     return w, V

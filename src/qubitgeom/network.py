@@ -72,9 +72,12 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
     """Exact (density-matrix) execution of the network."""
-    s = spec.u1.dot(qchannel.density_to_bloch(rho0))
-    s = geometry.VERTICES.T.dot(spec.weights) * s
-    return qchannel._density(spec.u2.dot(s))
+    return qchannel._density(_act(spec, spec.weights, rho0))
+
+
+def _act(spec: NetworkSpec, p: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """The network's action u2 . (eta(p) * (u1 . s)), p branch weights, s the Bloch vector of rho0."""
+    return spec.u2.dot(geometry._eta(p) * spec.u1.dot(qchannel.density_to_bloch(rho0)))
 
 
 def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
@@ -94,9 +97,8 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
         raise DisturbanceOutOfRange(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
     p_hat = rng.multinomial(n, spec.weights / spec.weights.sum()) / n  # branch frequencies
-    s0 = spec.u1.dot(qchannel.density_to_bloch(rho0))
-    s_avg = spec.u2.dot(p_hat.dot(geometry.VERTICES) * s0)
-    # Convexity keeps |s_avg| <= |s0| <= 1 up to float fuzz.
+    s_avg = _act(spec, p_hat, rho0)
+    # Convexity keeps |s_avg| <= |s| <= 1, s the Bloch vector of rho0, up to float fuzz.
     norm = math.hypot(*s_avg.tolist())
     if norm > 1.0:
         s_avg = s_avg / norm
@@ -106,5 +108,5 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
 
 def induced_channel(spec: NetworkSpec) -> qchannel.AffineChannel:
     """Affine channel implemented by the network (for roundtrip checks)."""
-    delta = np.diag(geometry.VERTICES.T @ spec.weights)
+    delta = np.diag(geometry._eta(spec.weights))
     return qchannel.AffineChannel(spec.u2 @ delta @ spec.u1)

@@ -5,15 +5,15 @@ rather than fixed-precision; CLI output needs byte-stable 17-significant-
 digit decimals, so this walks the structure itself. Complex numbers render
 as [re, im] pairs.
 
-_csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 1e16 (fixed notation) the
-exponent k, guessed from the binary exponent, is made exact against the least
-doubles >= 10**k, Dekker's error-free product gives |v| * 10**(16 - k) = p + e
-exactly, and p is an even integer above 2**53, so p + rint(e) is the significand
-rounded half to even. Its digit d and four groups of four fill a row of words in a
-bytearray: the sign, "0." and zeros (k < 0) or a dot (k >= 0) with d; the groups,
-trailing zeros as pads in the last and in each that only zero groups follow; a
-separator. Rows with k > 0 move k digits over the dot; translate deletes the pads.
-Other values (zero, subnormal, |v| < 1e-4 or >= 1e16, NaN, inf) take "%.17g".
+_csv_17g avoids dtoa's bignum path. For 1e-4 <= |v| < 10, which holds a trajectory's
+eta and its times below 10, the exponent k in -4..0, guessed from the binary
+exponent, is made exact against the least doubles >= 10**k, Dekker's error-free
+product gives |v| * 10**(16 - k) = p + e exactly, and p is an even integer above
+2**53, so p + rint(e) is the significand rounded half to even. Its digit d and four
+groups of four fill a row of words in a bytearray: the sign, "0." and zeros (k < 0)
+or a dot (k = 0) with d; the groups, trailing zeros as pads in the last and in each
+that only zero groups follow; a separator. translate deletes the pads.
+Other values (zero, subnormal, |v| < 1e-4 or >= 10, NaN, inf) take "%.17g".
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def dumps(obj) -> str:
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halves
 _POW10 = np.array([float(10**m) for m in range(21)])  # exact: 5**20 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_DECADES = np.array([float(f"1e{k}") for k in range(-4, 17)] + [np.inf])  # 10**k rounded up
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 2)])  # 10**k rounded up
 _W = 28  # a row: sign, "0." and zeros in bytes 0..6, 17 digits in 7..23, separator at 24
 _PAD = ord(" ")  # around each field in its row, as "%-24.17g" pads too
 _CHUNK = 1 << 16  # values rendered at a time, so that temporaries stay under 10 MB
@@ -65,9 +65,9 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(4):  # digit j of i is a trailing zero where 10**(4 - j) divides i
         padded[::10 ** (4 - j), j] = _PAD
     heads = [b"%8s" % (sign + lead % d) for lead in b"%d. 0.000%d 0.00%d 0.0%d 0.%d".split()
-             for d in range(10) for sign in (b"", b"-")]  # k = 0, as k = 1 .. 15, then -4 .. -1
+             for d in range(10) for sign in (b"", b"-")]  # k = 0, then -4 .. -1
     return (quads.copy().view(np.uint32).ravel(), padded.view(np.uint32).ravel(),
-            np.frombuffer(b"".join(heads[:20] * 16 + heads[20:]), np.uint32).reshape(-1, 2).T.copy())
+            np.frombuffer(b"".join(heads), np.uint32).reshape(-1, 2).T.copy())
 
 
 def _significand(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def _fields(v: np.ndarray, ncols: int) -> str:
     """The ".17g" fields of v, a newline after every ncols-th and a comma after the others."""
     quads, padded, heads = _tables()
     a = np.abs(v)
-    slow = (~((a >= 1e-4) & (a < 1e16))).nonzero()[0]  # each fix-up indexes only its rows
+    slow = (~((a >= 1e-4) & (a < 10.0))).nonzero()[0]  # each fix-up indexes only its rows
     a[slow] = 1.0  # any value on the exact path: "%.17g" overwrites its row
     k = ((a.view(np.int64) >> 52) - 1023) * 1233 >> 12  # floor(e log10 2), e the binary
     k += a >= _DECADES[k + 5]  # exponent: the decade of a or the one below
@@ -118,11 +118,6 @@ def _fields(v: np.ndarray, ncols: int) -> str:
     words[:, 6] = np.frombuffer(b",   ", np.uint32)
     out[ncols - 1::ncols, -4] = ord("\n")
     out[rows[k[rows] == 0], 7] = _PAD  # a whole number has no dot
-    for e in range(1, np.maximum.reduce(k) + 1):  # rows with k = e > 0: digits 1..e move left
-        rows = (k == e).nonzero()[0]  # over the dot, their pads back to zeros
-        digits = out[rows, 8:8 + e]
-        out[rows, 7:7 + e] = np.where(digits == _PAD, ord("0"), digits)
-        out[rows, 7 + e] = np.where(out[rows, 8 + e] == _PAD, _PAD, ord("."))
     text = b"".join(b"%-24.17g" % x for x in v[slow].tolist())  # at most 24 bytes
     out[slow, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
     del a, k, sig, q, r, head, out, words  # freed before the pads are deleted,

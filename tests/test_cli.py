@@ -52,6 +52,9 @@ def run_cli(*args, check=True):
         (["check", "-h"], "help_check.txt"),  # the named verb's alone
         (["qkd", "--protocol", "four-state", "--dmax", "0.4", "--grid-resolution", "0.005"],
          "qkd_four_state_grid.json"),
+        # its last six rows have t >= 10, which the renderer formats with "%.17g"
+        (["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--tmax", "12.3", "--steps", "30"],
+         "dynamics_tmax12.csv"),
     ],
 )
 def test_goldens_byte_identical(argv, golden):
@@ -456,6 +459,10 @@ def test_dynamics_rejects_empty_grid(steps):
     (["check", "--in", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": ["0", 0, 0]}'],
      "BadDimension"),
     (["check", "--in", '{"eta": ["1", "1", "1"]}'], "BadDimension"),
+    (["sw", "--in", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [0.1, 0, 0]}'],
+     "_ArgumentError"),  # this verb needs a diagonal unital channel
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1"],
+     "_ArgumentError"),  # --oracle-state requires --t
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content

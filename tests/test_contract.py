@@ -8,8 +8,8 @@ numbers (arrays, scalars, counts, seeds) get strings, None, NaN, +-inf, floats
 over the whole double range, wrong shapes, complex values and negative or huge
 integers, and so does a protocol, which takes a Protocol or its value; an
 argument that takes a library object (a channel, a spec, a network) keeps a
-valid one. Named cases hold finite input near the largest double to a refusal
-with no warning.
+valid one. Named cases hold finite input near the largest double, or a matrix
+whose eigendecomposition does not converge, to a refusal with no warning.
 
 A sweep over the valid extremes (the vertices, corners, edges and faces of D,
 singular and improper channels, and the attack budgets 0, 1/3 and 1/2) holds
@@ -220,6 +220,9 @@ _M = 1.7e308  # near the largest double: finite input whose sums, squares or pro
 _HUGE = qg.AffineChannel(np.full((3, 3), _M))  # unital, its largest singular value 5.1e308
 _HUGE_B = qg.AffineChannel(np.full((3, 3), _M), [_M, 0.0, 0.0])
 _I3 = np.eye(3).tolist()
+# finite and symmetric, its entries spanning 1e-290 to 1e300: LAPACK's eigh does not converge
+_STALL = [[0.0, 1.2739e300, -5.77e-168, 9.51e242], [1.2739e300, 0.0, -8.96e92, -3.07e-70],
+          [-5.77e-168, -8.96e92, -0.0, 2.0e-290], [9.51e242, -3.07e-70, 2.0e-290, 4.34e-266]]
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -246,6 +249,10 @@ _I3 = np.eye(3).tolist()
                  "^an eigenvalue overflows$", id="hermitian_eig-eigenvalue-overflow"),
     pytest.param(lambda: qg.unitary_exp([[_M, _M], [_M, -_M]], 1.0), NonFiniteInput,
                  "^an eigenvalue overflows$", id="unitary_exp-eigenvalue-overflow"),
+    pytest.param(lambda: qg.hermitian_eig(_STALL), NonFiniteInput,
+                 "^the eigendecomposition did not converge$", id="hermitian_eig-no-convergence"),
+    pytest.param(lambda: qg.unitary_exp(_STALL, 1.0), NonFiniteInput,
+                 "^the eigendecomposition did not converge$", id="unitary_exp-no-convergence"),
     pytest.param(lambda: qg.is_cp(qg.AffineChannel([[-_M, -_M, _M], [_M, _M, -_M], [-_M, -_M, -_M]],
                                                    [0.0, _M, _M])),
                  NonFiniteInput, "^an eigenvalue overflows$", id="is_cp-choi-eigenvalue-overflow"),
@@ -255,8 +262,8 @@ _I3 = np.eye(3).tolist()
                  id="is_unital-b-1e200"),
 ])
 def test_overflow_is_refused_without_warning(call, error, match):
-    """Finite input near the largest double: the named refusal (error None: a finite
-    result), and no warning on the way."""
+    """Finite input near the largest double, or a matrix LAPACK cannot decompose: the
+    named refusal (error None: a finite result), and no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:

@@ -264,7 +264,8 @@ def _assert_csv_exact(values):
     assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
 
 
-# any float64, and more of them in the decades that take the exact path
+# any float64, and more of them in the decades from 1e-4 to 1e16: the exact path below 10,
+# "%.17g" from 10 up
 _FLOATS = st.floats() | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4)
 
 
@@ -297,7 +298,7 @@ def _decade_and_kept_digits(x):
 
 
 def test_trajectory_csv_exact_in_every_decade():
-    # trajectories stay below 10, so only these values move integer digits over the dot
+    # the exact path takes the decades k = -4 .. 0, where trajectories stay; k >= 1 takes "%.17g"
     # s on both sides of each four-digit group boundary after the lead digit: every depth
     # of the trailing-zero fix-up, in every decade
     wanted = {(k, s) for k in range(-4, 16) for s in (1, 2, 5, 6, 9, 10, 13, 14, k + 1, 17)
