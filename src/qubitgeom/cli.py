@@ -140,7 +140,10 @@ def _dynamics(args):
                 "eta": qg.dynamics.eta_of_t(spec, args.t)}
     if not 1 <= args.steps <= MAX_STEPS:
         raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
-    grid = np.linspace(0.0, qg.linalg._real(args.tmax, "--tmax", ()), args.steps + 1)
+    tmax = qg.linalg._real(args.tmax, "--tmax", ())
+    if tmax < 0:
+        raise _ArgumentError(f"--tmax must be >= 0, got {args.tmax}")
+    grid = np.linspace(0.0, tmax, args.steps + 1)
     return qg.dynamics.trajectory_to_csv(qg.dynamics.trajectory(spec, grid))
 
 

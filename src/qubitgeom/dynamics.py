@@ -132,4 +132,4 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     float as format(v, ".17g") writes it."""
     table = np.empty((len(traj.times), 4))  # C order, read uncopied; column_stack's is F
     table[:, 0], table[:, 1:] = traj.times, traj.etas
-    return "t,eta_x,eta_y,eta_z\n" + serialize._csv_17g(table)
+    return serialize._csv_17g("t,eta_x,eta_y,eta_z", table)

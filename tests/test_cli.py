@@ -429,6 +429,17 @@ def test_dynamics_rejects_empty_grid(steps):
     assert "error" in err and "--steps" in err["message"]
 
 
+@pytest.mark.parametrize("tmax,code", [("-1", 2), ("-1e-300", 2), ("-0.0", 0), ("0", 0)])
+def test_dynamics_refuses_a_negative_tmax(tmax, code):
+    proc = run_cli("dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", tmax, "--steps", "2",
+                   check=False)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == b""
+        assert json.loads(proc.stderr) == {"error": "_ArgumentError",
+                                           "message": f"--tmax must be >= 0, got {float(tmax)}"}
+
+
 @pytest.mark.parametrize("argv,error", [
     (["qkd", "--protocol", "four-state", "--dmax", "0", "--grid-resolution", "0.03"],
      "EmptyIntersection"),
@@ -463,6 +474,8 @@ def test_dynamics_rejects_empty_grid(steps):
      "_ArgumentError"),  # this verb needs a diagonal unital channel
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1"],
      "_ArgumentError"),  # --oracle-state requires --t
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-1"],
+     "_ArgumentError"),  # a negative --tmax gives no grid; -0.0 and 0 do
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qubitgeom as qg
-from qubitgeom import cli, dynamics, geometry, linalg
+from qubitgeom import cli, dynamics, geometry, linalg, serialize
 from qubitgeom.errors import BadDimension, NonFiniteInput, NotCP, QubitGeomError
 
 from conftest import bit_lock_targets, raised, random_density, random_eta_in_D
@@ -247,13 +247,22 @@ def _reference_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+def _first_difference(csv, reference):
+    """(line number, line, reference line) where two CSV texts first differ, None if they
+    are equal: pytest's own diff of two long strings takes minutes."""
+    for i, pair in enumerate(itertools.zip_longest(csv.split("\n"), reference.split("\n"))):
+        if pair[0] != pair[1]:
+            return i, *pair
+    return None
+
+
 def test_trajectory_csv_matches_reference(rng):
     spec = random_spec(rng)
     odd = linalg._trusted(dynamics.Trajectory, times=[-0.0, 5e-324, 1e300], etas=[
         [np.nan, np.inf, -np.inf], [-0.0, 1e-17, 1 / 3], [2.0**60, -1.5, 0.1]])
     for traj in (qg.trajectory(spec, np.linspace(0, np.pi, 2001)),
                  qg.trajectory(spec, []), odd):
-        assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
+        assert _first_difference(qg.trajectory_to_csv(traj), _reference_csv(traj)) is None
 
 
 def _assert_csv_exact(values):
@@ -261,7 +270,7 @@ def _assert_csv_exact(values):
     values = np.ravel(values)
     table = np.concatenate([values, np.zeros(-len(values) % 4)]).reshape(-1, 4)
     traj = linalg._trusted(dynamics.Trajectory, times=table[:, 0], etas=table[:, 1:])
-    assert qg.trajectory_to_csv(traj) == _reference_csv(traj)
+    assert _first_difference(qg.trajectory_to_csv(traj), _reference_csv(traj)) is None
 
 
 # any float64, and more of them in the decades from 1e-4 to 1e16: the exact path below 10,
@@ -312,6 +321,39 @@ def test_trajectory_csv_exact_in_every_decade():
                 values += [x, -x]
     assert {_decade_and_kept_digits(x) for x in values} == wanted
     _assert_csv_exact(values)
+
+
+# the longest "%.17g" texts: negative, 17 digits and a three-digit exponent (24 characters),
+# which need a 32-byte row, and 23 characters, the most a 24-byte row holds after its separator
+_LONG = [-1.2345678901234567e-100, -9.8765432109876536e-299, -4.9406564584124654e-324,
+         -2.2250738585072014e-308, -1.7976931348623157e+308, -1.2345678901234567e+100]
+_23 = [-1.2345678901234567e-05, -1.2345678901234567e-99, 1.2345678901234567e-100,
+       2.2250738585072014e-308, 4.9406564584124654e-324, 1.7976931348623157e+308,
+       -1.2345678901234567e+99, -1.2345678901234567e+17]
+
+
+def test_trajectory_csv_exact_on_the_longest_fallback_fields(rng):
+    assert {len(format(x, ".17g")) for x in _LONG} == {24}
+    assert {len(format(x, ".17g")) for x in _23} == {23}
+    _assert_csv_exact(_LONG)
+    _assert_csv_exact(_23)
+    _assert_csv_exact(_LONG + _23)
+    for extra in (_LONG, _23, _LONG + _23):  # among exact-path values, in every column
+        values = rng.uniform(-1, 1, 400)
+        values[rng.choice(400, len(extra), replace=False)] = extra
+        _assert_csv_exact(values)
+        values[:4] = values[-4:] = extra[:4]
+        _assert_csv_exact(values)
+
+
+def test_trajectory_csv_exact_across_chunks(rng):
+    traj = qg.trajectory(random_spec(rng), np.linspace(0, np.pi, 20001))
+    assert 4 * len(traj.times) > serialize._CHUNK  # two chunks of whole lines
+    assert _first_difference(qg.trajectory_to_csv(traj), _reference_csv(traj)) is None
+    values = rng.uniform(-1, 1, 4 * 20001)
+    for at in (3, serialize._CHUNK, len(values) - 1):  # the first chunk, the second, both
+        values[at] = _LONG[0]
+        _assert_csv_exact(values)
 
 
 def test_trajectory_csv_memory_peak_at_the_steps_cap():
