@@ -429,7 +429,7 @@ def test_dynamics_rejects_empty_grid(steps):
     assert "error" in err and "--steps" in err["message"]
 
 
-@pytest.mark.parametrize("tmax,code", [("-1", 2), ("-1e-300", 2), ("-0.0", 0), ("0", 0)])
+@pytest.mark.parametrize("tmax,code", [("-1e-300", 2), ("-0.0", 0), ("0", 0)])
 def test_dynamics_refuses_a_negative_tmax(tmax, code):
     proc = run_cli("dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", tmax, "--steps", "2",
                    check=False)

@@ -325,24 +325,24 @@ def test_trajectory_csv_exact_in_every_decade():
 
 # the longest "%.17g" texts: negative, 17 digits and a three-digit exponent (24 characters),
 # which need a 32-byte row, and 23 characters, the most a 24-byte row holds after its separator
-_LONG = [-1.2345678901234567e-100, -9.8765432109876536e-299, -4.9406564584124654e-324,
-         -2.2250738585072014e-308, -1.7976931348623157e+308, -1.2345678901234567e+100]
-_23 = [-1.2345678901234567e-05, -1.2345678901234567e-99, 1.2345678901234567e-100,
-       2.2250738585072014e-308, 4.9406564584124654e-324, 1.7976931348623157e+308,
-       -1.2345678901234567e+99, -1.2345678901234567e+17]
+_24_CHARS = [-1.2345678901234567e-100, -9.8765432109876536e-299, -4.9406564584124654e-324,
+             -2.2250738585072014e-308, -1.7976931348623157e+308, -1.2345678901234567e+100]
+_23_CHARS = [-1.2345678901234567e-05, -1.2345678901234567e-99, 1.2345678901234567e-100,
+             2.2250738585072014e-308, 4.9406564584124654e-324, 1.7976931348623157e+308,
+             -1.2345678901234567e+99, -1.2345678901234567e+17]
 
 
 def test_trajectory_csv_exact_on_the_longest_fallback_fields(rng):
-    assert {len(format(x, ".17g")) for x in _LONG} == {24}
-    assert {len(format(x, ".17g")) for x in _23} == {23}
-    _assert_csv_exact(_LONG)
-    _assert_csv_exact(_23)
-    _assert_csv_exact(_LONG + _23)
-    for extra in (_LONG, _23, _LONG + _23):  # among exact-path values, in every column
+    assert {len(format(x, ".17g")) for x in _24_CHARS} == {24}
+    assert {len(format(x, ".17g")) for x in _23_CHARS} == {23}
+    _assert_csv_exact(_24_CHARS)
+    _assert_csv_exact(_23_CHARS)
+    _assert_csv_exact(_24_CHARS + _23_CHARS)
+    for extra in (_24_CHARS, _23_CHARS, _24_CHARS + _23_CHARS):  # among exact-path values,
         values = rng.uniform(-1, 1, 400)
         values[rng.choice(400, len(extra), replace=False)] = extra
         _assert_csv_exact(values)
-        values[:4] = values[-4:] = extra[:4]
+        values[:4] = values[-4:] = extra[:4]  # and in every column
         _assert_csv_exact(values)
 
 
@@ -351,9 +351,10 @@ def test_trajectory_csv_exact_across_chunks(rng):
     assert 4 * len(traj.times) > serialize._CHUNK  # two chunks of whole lines
     assert _first_difference(qg.trajectory_to_csv(traj), _reference_csv(traj)) is None
     values = rng.uniform(-1, 1, 4 * 20001)
-    for at in (3, serialize._CHUNK, len(values) - 1):  # the first chunk, the second, both
-        values[at] = _LONG[0]
-        _assert_csv_exact(values)
+    for at in ([3], [serialize._CHUNK], [3, serialize._CHUNK]):  # chunk 1, chunk 2, both
+        long = values.copy()
+        long[at] = _24_CHARS[0]
+        _assert_csv_exact(long)
 
 
 def test_trajectory_csv_memory_peak_at_the_steps_cap():
