@@ -8,7 +8,7 @@ a regular tetrahedron in eta-space (see the geometry module).
 
 Complete positivity is a property of the trace-1 Choi matrix, the channel
 applied to one half of a maximally entangled pair. A unital channel is
-factored once (one SVD, cached on the channel) as A = Q diag(delta) Q^T R,
+factored once (one SVD, a lazy field of the channel) as A = Q diag(delta) Q^T R,
 and its Choi eigenvalues are the Pauli weights of delta, so only a
 non-unital channel has its Choi matrix built and diagonalised.
 """
@@ -16,13 +16,12 @@ non-unital channel has its Choi matrix built and diagonalised.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from . import geometry, linalg
 from .errors import BadDimension, NotUnital, UnknownName, UnphysicalBloch
-from .linalg import _NO_SHIFT, PAULIS, _det3, _freeze, _real, _trusted, _Value
+from .linalg import _NO_SHIFT, PAULIS, _det3, _freeze, _lazy, _real, _trusted, _Value
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
@@ -67,27 +66,28 @@ class AffineChannel(_Value):
     """
 
     A: np.ndarray
-    b: np.ndarray  # (0, 0, 0) if not given
+    b: np.ndarray = _NO_SHIFT  # if not given: (0, 0, 0), one read-only array for all
 
     def __init__(self, A, b=_NO_SHIFT):
         _freeze(self, "A", A, (3, 3))
-        _freeze(self, "b", b, (3,))
+        if b is not _NO_SHIFT:  # else b is the class's, as in from_eta and catalog
+            _freeze(self, "b", b, (3,))
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
-        return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))), b=_NO_SHIFT)
+        return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))))
 
-    @cached_property  # A and b are read-only, so each of these is computed once
+    @_lazy  # A and b are read-only, so each of these is computed once
     def is_unital(self) -> bool:
         return math.hypot(*self.b.tolist()) <= linalg.ROUND_TOL
 
-    @cached_property
+    @_lazy
     def is_diagonal(self) -> bool:
         (_, a01, a02), (a10, _, a12), (a20, a21, _) = self.A.tolist()
         return self.is_unital and max(map(abs, (a01, a02, a10, a12, a20, a21))) <= linalg.ROUND_TOL
 
-    @cached_property
+    @_lazy
     def _canonical(self) -> "CanonicalForm":
         Q, delta, Vt = linalg._svd(self.A)  # svd3 without its check: A is frozen
         for M in (Q.T, Vt):  # proper Q, then proper R = Q V^T: the bits of sigma S and (Q S) V^T
@@ -96,7 +96,7 @@ class AffineChannel(_Value):
                 delta[2] = -delta[2]
         return _trusted(CanonicalForm, Q=Q, delta=delta, R=Q.dot(Vt))
 
-    @cached_property
+    @_lazy
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(delta, Q, R), A = Q diag(delta) Q^T R: (eta, I, I) if diagonal, else _canonical's."""
         if self.is_diagonal:
@@ -199,7 +199,7 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
         if not 0.0 <= p <= 1.0:
             raise UnknownName(f"depolarize probability {p} outside [0, 1]")
         eta = (1.0 - p, 1.0 - p, 1.0 - p)
-    return _trusted(AffineChannel, A=np.diag(eta), b=_NO_SHIFT)  # from_eta without its check
+    return _trusted(AffineChannel, A=np.diag(eta))  # from_eta without its check
 
 
 def _numbers(value, depth: int = 64) -> bool:  # a JSON number or (nested) lists of them; no boolean

@@ -20,14 +20,13 @@ serves as the independent oracle for the closed form.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import BadDimension, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _real, _trusted, _unit_sum, _Value
+from .linalg import ROUND_TOL, _freeze, _lazy, _real, _trusted, _unit_sum, _Value
 
 _ANCILLA_DIM = 4
 
@@ -55,7 +54,7 @@ class CouplingSpec(_Value):
             raise WeightsNotNormalized("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
 
-    @cached_property  # alpha is read-only; simulate_reduced's eigendecomposition
+    @_lazy  # alpha is read-only, so simulate_reduced decomposes H once per spec
     def _eig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(total_hamiltonian(self))  # Hermitian by construction
 
@@ -101,10 +100,11 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     qchannel.density_to_bloch(rho0)  # rejects all but a 2x2 density matrix
     # rho0 (x) |a1><a1| is zero off rows and columns 0 and 4, so it evolves to
     # V rho0 V^H with V the columns 0 and 4 of the full unitary
-    if spec.__dict__.get("_t") != t.hex():  # keep the last t's V and V^H, as _eig is kept
+    key, V, VH = spec.__dict__.get("_propagator", (None,) * 3)  # read once, as a call for
+    if key != t.hex():  # another t (even from rho0's __array__) replaces the tuple whole
         V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
-        spec.__dict__.update(_t=t.hex(), _V=V, _VH=V.conj().T)
-    evolved = spec._V @ np.asarray(rho0, dtype=complex) @ spec._VH
+        _, V, VH = spec.__dict__["_propagator"] = t.hex(), V, V.conj().T
+    evolved = V @ np.asarray(rho0, dtype=complex) @ VH
     return linalg._trace_ancilla(evolved, _ANCILLA_DIM)
 
 

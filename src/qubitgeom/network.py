@@ -67,7 +67,7 @@ def compile_channel(ch: qchannel.AffineChannel) -> NetworkSpec:
         raise NotUnital("the network realises unital channels only")
     delta, Q, R = ch._factors
     weights = geometry._cp_weights(delta, "channel is not CP (Choi min eigenvalue {least:.3e})")
-    return _trusted(NetworkSpec, u1=Q.T.dot(R), u2=Q, weights=weights / weights.sum())
+    return _trusted(NetworkSpec, u1=Q.T.dot(R), u2=Q, weights=weights / np.add.reduce(weights))
 
 
 def run_exact(spec: NetworkSpec, rho0: np.ndarray) -> np.ndarray:
@@ -96,13 +96,13 @@ def run_sampled(spec: NetworkSpec, rho0: np.ndarray, n: int,
     if not (1 <= n < 2**63 and seed >= 0):
         raise DisturbanceOutOfRange(f"need 1 <= n < 2**63 and seed >= 0, got {n} and {seed}")
     rng = np.random.default_rng(seed)
-    p_hat = rng.multinomial(n, spec.weights / spec.weights.sum()) / n  # branch frequencies
+    p_hat = rng.multinomial(n, spec.weights / np.add.reduce(spec.weights)) / n  # branch frequencies
     s_avg = _act(spec, p_hat, rho0)
     # Convexity keeps |s_avg| <= |s| <= 1, s the Bloch vector of rho0, up to float fuzz.
     norm = math.hypot(*s_avg.tolist())
     if norm > 1.0:
         s_avg = s_avg / norm
-    stderr = math.sqrt(max(0.0, 1.0 - (p_hat**2).sum()) / n)
+    stderr = math.sqrt(max(0.0, 1.0 - np.add.reduce(p_hat**2)) / n)
     return qchannel._density(s_avg), stderr
 
 

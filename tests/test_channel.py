@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -429,6 +431,86 @@ def test_canonical_form_random_contractions(rng):
         if sig[0] > 1:
             A = A / sig[0]
         _check_canonical(qg.AffineChannel(A, np.zeros(3)))
+
+
+def test_derived_fields_take_one_svd_per_channel(rng, monkeypatch):
+    """is_cp, canonical_form, is_positive_unital and compile_channel share one SVD of a
+    rotated channel; is_cp and compile_channel of a diagonal one take none."""
+    svd, calls = linalg._svd, []
+    monkeypatch.setattr(linalg, "_svd", lambda A: calls.append(A) or svd(A))
+    rotated = qg.AffineChannel(random_rotation(rng) @ np.diag([0.5, 0.4, 0.3]) @ random_rotation(rng))
+    for fn in (qg.is_cp, qg.canonical_form, qg.is_positive_unital, qg.compile_channel) * 2:
+        fn(rotated)
+    assert len(calls) == 1 and calls[0] is rotated.A
+    for diagonal in (qg.AffineChannel.from_eta([0.5, 0.4, 0.3]), qg.AffineChannel(np.diag([0.5, 0.4, 0.3]))):
+        for fn in (qg.is_cp, qg.compile_channel):
+            fn(diagonal)
+    assert len(calls) == 1
+
+
+def test_derived_field_that_raises_stores_nothing(monkeypatch):
+    """A channel whose largest singular value overflows raises on every read, each
+    read decomposing again: a failure is not cached."""
+    svd, calls = linalg._svd, []
+    monkeypatch.setattr(linalg, "_svd", lambda A: calls.append(A) or svd(A))
+    huge = qg.AffineChannel(np.full((3, 3), 1.7e308))
+    for i, fn in enumerate((qg.canonical_form, qg.is_cp, qg.is_positive_unital, qg.compile_channel) * 2):
+        with pytest.raises(NonFiniteInput, match="^a singular value overflows$"):
+            fn(huge)
+        assert len(calls) == i + 1
+    assert "_canonical" not in vars(huge) and "_factors" not in vars(huge)
+
+
+def test_threads_reading_a_derived_field_get_one_object(rng):
+    """Eight threads released at once read the canonical form of one fresh channel:
+    however many of them compute it, all get the object stored first."""
+    A, interval = random_rotation(rng) * 0.5, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(100):
+            ch, barrier, got = qg.AffineChannel(A), threading.Barrier(8), []
+
+            def read():
+                barrier.wait(timeout=10)
+                got.append(qg.canonical_form(ch))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads) and len(got) == 8
+            assert all(form is ch._canonical for form in got), i
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_derived_fields_are_read_only_and_found_on_the_class(rng):
+    ch = qg.AffineChannel(random_rotation(rng) * 0.5)
+    for name in ("is_unital", "is_diagonal", "_canonical", "_factors"):
+        assert isinstance(vars(channel.AffineChannel)[name], linalg._lazy)
+        assert getattr(channel.AffineChannel, name) is vars(channel.AffineChannel)[name]
+        for _ in range(2):  # before the field is computed, and after
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(ch, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(ch, name)
+            getattr(ch, name)
+    assert channel.AffineChannel._factors.__doc__.startswith("(delta, Q, R)")
+
+
+def test_default_shift_is_shared_and_read_only():
+    """A channel built without b, also from JSON, shares the one read-only zero shift; an
+    explicit b, even zeros, is checked and copied."""
+    for ch in (qg.AffineChannel(np.eye(3)), qg.AffineChannel.from_eta([0.5, 0.5, 0.5]),
+               qg.catalog("identity"), qg.channel_from_json({"A": np.eye(3).tolist()})):
+        assert ch.b is linalg._NO_SHIFT and not ch.b.flags.writeable and ch.is_unital
+    zeros = np.zeros(3)
+    explicit = qg.AffineChannel(np.eye(3), zeros)
+    assert explicit.b is not zeros and explicit.b is not linalg._NO_SHIFT and not explicit.b.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        linalg._NO_SHIFT[0] = 1.0
+    assert repr(qg.AffineChannel(np.eye(3))).endswith("b=array([0., 0., 0.]))")
 
 
 _CUBE = np.array([-1.0, -0.5, -1 / 3, 0.0, 1 / 3, 0.5, 1.0])

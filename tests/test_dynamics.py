@@ -181,6 +181,29 @@ def test_simulate_reduced_reuses_one_eigendecomposition(rng, monkeypatch):
         assert spec._eig is spec._eig
 
 
+def test_simulate_reduced_does_not_mix_two_propagators(rng):
+    """A call for another t while a call runs, here from rho0's second conversion to an
+    array, leaves the running call with one propagator: the bits of a fresh spec's."""
+    spec, rho = random_spec(rng), random_density(rng)
+
+    class Reentrant:  # converts to rho; the second conversion first evolves to t = 1.1
+        conversions = 0
+
+        def __array__(self, dtype=None, copy=None):
+            self.conversions += 1
+            if self.conversions == 2:
+                qg.simulate_reduced(spec, 1.1, rho)
+            return np.asarray(rho, dtype=dtype)
+
+    for t in (0.3, 0.7):  # the propagator for t kept by the previous call, then not
+        qg.simulate_reduced(spec, 0.3, rho)
+        reentrant = Reentrant()
+        out = qg.simulate_reduced(spec, t, reentrant)
+        assert reentrant.conversions == 2
+        fresh = qg.simulate_reduced(dynamics.CouplingSpec(spec.alpha), t, rho)
+        assert out.tobytes() == fresh.tobytes()
+
+
 def test_coupling_signs_do_not_matter(rng):
     # alpha sign flips conjugate H by a local unitary and leave eta(t) alone
     a2 = rng.dirichlet(np.ones(3))
