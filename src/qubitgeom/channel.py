@@ -188,7 +188,7 @@ _CATALOG = {"identity": (1.0, 1.0, 1.0), "rot_x": (1.0, -1.0, -1.0), "rot_y": (-
 
 def catalog(name: str, p: float | None = None) -> AffineChannel:
     """Named channels: the tetrahedron vertices, the classic non-CP positive
-    maps (transpose, universal_not, pancake), and depolarize(p)."""
+    maps (transpose, universal_not, pancake), and depolarize(p), the only one with a p."""
     if not (isinstance(name, str) and (name in _CATALOG or name == "depolarize")):
         raise UnknownName(f"unknown channel name {name!r}")
     eta = _CATALOG.get(name)
@@ -199,6 +199,8 @@ def catalog(name: str, p: float | None = None) -> AffineChannel:
         if not 0.0 <= p <= 1.0:
             raise UnknownName(f"depolarize probability {p} outside [0, 1]")
         eta = (1.0 - p, 1.0 - p, 1.0 - p)
+    elif p is not None:
+        raise UnknownName(f"{name} takes no parameter")
     return _trusted(AffineChannel, A=np.diag(eta))  # from_eta without its check
 
 

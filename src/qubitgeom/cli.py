@@ -131,9 +131,10 @@ def _run(args):
 
 def _dynamics(args):
     spec = qg.dynamics.CouplingSpec.from_alpha2(args.alpha2)
+    if (args.oracle_state is None) != (args.t is None):  # each needs the other
+        raise _ArgumentError("--t requires --oracle-state" if args.oracle_state is None
+                             else "--oracle-state requires --t")
     if args.oracle_state is not None:
-        if args.t is None:
-            raise _ArgumentError("--oracle-state requires --t")
         rho0 = qg.channel.bloch_to_density(args.oracle_state)
         rho = qg.dynamics.simulate_reduced(spec, args.t, rho0)
         return {"bloch": qg.channel.density_to_bloch(rho),

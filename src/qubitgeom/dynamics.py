@@ -26,7 +26,7 @@ import numpy as np
 from . import channel as qchannel
 from . import geometry, linalg, serialize
 from .errors import BadDimension, WeightsNotNormalized
-from .linalg import ROUND_TOL, _freeze, _lazy, _real, _trusted, _unit_sum, _Value
+from .linalg import ROUND_TOL, _freeze, _real, _trusted, _unit_sum, _Value
 
 _ANCILLA_DIM = 4
 
@@ -53,10 +53,6 @@ class CouplingSpec(_Value):
         if np.any(a2 < -ROUND_TOL):
             raise WeightsNotNormalized("squared couplings must be nonnegative")
         return cls(np.sqrt(np.clip(a2, 0.0, None)))
-
-    @_lazy  # alpha is read-only, so simulate_reduced decomposes H once per spec
-    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(total_hamiltonian(self))  # Hermitian by construction
 
 
 def eta_of_t(spec: CouplingSpec, t) -> np.ndarray:
@@ -102,7 +98,7 @@ def simulate_reduced(spec: CouplingSpec, t: float, rho0: np.ndarray) -> np.ndarr
     # V rho0 V^H with V the columns 0 and 4 of the full unitary
     key, V, VH = spec.__dict__.get("_propagator", (None,) * 3)  # read once, as a call for
     if key != t.hex():  # another t (even from rho0's __array__) replaces the tuple whole
-        V = linalg._exp_eig(*spec._eig, t)[:, ::_ANCILLA_DIM]
+        V = linalg._exp_eig(*linalg._eigh(total_hamiltonian(spec)), t)[:, ::_ANCILLA_DIM]
         _, V, VH = spec.__dict__["_propagator"] = t.hex(), V, V.conj().T
     evolved = V @ np.asarray(rho0, dtype=complex) @ VH
     return linalg._trace_ancilla(evolved, _ANCILLA_DIM)

@@ -6,8 +6,8 @@ passes (with _real, require_hermitian or a value type's __init__) and hands it t
 an unchecked private kernel, the one source of its formula. Arrays the program
 built, and the read-only arrays of value types, go straight to kernels; _trusted
 keeps such arrays, uncopied, in a value type built without its __init__. A derived field
-(canonical factors, an eigendecomposition) is a _lazy method, whose first read stores its
-result in obj.__dict__ for later reads to find: not functools' cached property, whose first
+(a channel's canonical factors) is a _lazy method, whose first read stores its result
+in obj.__dict__ for later reads to find: not functools' cached property, whose first
 read takes a lock that all instances share up to Python 3.11. Racing threads may compute a
 field twice, but setdefault keeps the first result for all; a read that raises stores nothing.
 Where numpy's dispatch outweighs the work and numpy does not decide the bits, a
@@ -15,7 +15,7 @@ kernel reads tolist() and does Python arithmetic, as require_hermitian does. BLA
 products (written a.dot(b): @'s bits, less dispatch), svd and seeding stay numpy.
 On hot paths, call ufuncs and ndarray methods, not numpy's Python wrappers, which add a
 frame before the same C loop. Three stay: np.einsum in _trace_ancilla (ndarray.trace
-warns of overflow on 1e308 I_8), np.linalg.eigh, the public LAPACK entry, and
+warns of overflow on 1e308 I_8), _eigh's eigh, numpy's public LAPACK entry, and
 np.count_nonzero in _real, the cheapest finiteness count numpy exposes.
 
 One source per rule. _unit_sum adds weights left to right from 0.0, numpy's order for up

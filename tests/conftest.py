@@ -1,5 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+ROOT = GOLDEN_DIR.parent.parent  # where the golden command lines run
 
 
 @pytest.fixture
@@ -72,3 +77,10 @@ def random_density(rng) -> np.ndarray:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     w = np.linalg.eigvalsh(a - b)
     return 0.5 * float(np.sum(np.abs(w)))
+
+
+def golden_commands() -> list[tuple[list[str], str]]:
+    """(argv, golden) for each command line of tests/goldens/commands.txt, in its order."""
+    lines = (GOLDEN_DIR / "commands.txt").read_text().splitlines()
+    return [(argv, golden) for golden, *argv in
+            (line.split() for line in lines if line.strip() and not line.startswith("#"))]

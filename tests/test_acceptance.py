@@ -12,7 +12,7 @@ import numpy as np
 import qubitgeom as qg
 from qubitgeom import geometry, network
 
-from conftest import random_eta_in_D, random_rotation, trace_distance
+from conftest import golden_commands, random_eta_in_D, random_rotation, trace_distance
 from test_geometry import exact_project_oracle, grid_project_oracle
 
 RNG_SEED = 777
@@ -178,12 +178,7 @@ def test_c8_positive_map_decomposition():
 
 def test_c9_cli_goldens():
     golden_dir = Path(__file__).parent / "goldens"
-    cases = [
-        (["check", "--eta", "-1", "-1", "-1"], "check_universal_not.json"),
-        (["project", "--eta", "-1", "-1", "-1"], "project_universal_not.json"),
-        (["qkd", "--protocol", "four-state", "--dmax", "0.25"],
-         "qkd_four_state_dmax025.json"),
-    ]
+    cases = golden_commands()[:3]  # check, project and qkd of the universal NOT
     for argv, golden in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "qubitgeom.cli", *argv], capture_output=True

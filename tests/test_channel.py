@@ -11,7 +11,7 @@ from qubitgeom import channel, geometry, linalg
 from qubitgeom.errors import (BadDimension, NonFiniteInput, NonHermitianInput, NotCP, NotUnital,
                               QubitGeomError, UnknownName, UnphysicalBloch)
 
-from conftest import random_eta_in_D, random_rotation
+from conftest import raised, random_eta_in_D, random_rotation
 
 
 def test_bloch_to_density_basics():
@@ -671,6 +671,8 @@ def test_catalog_entries():
         qg.catalog("hadamard")
     with pytest.raises(UnknownName):
         qg.catalog("depolarize")
+    for name in ("identity", "transpose"):  # a parameter is refused, not dropped
+        assert raised(qg.catalog, name, 0.5) == (UnknownName, f"{name} takes no parameter")
 
 
 def channel_to_json(ch):

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +11,17 @@ import pytest
 import qubitgeom as qg
 from qubitgeom import cli
 
+from conftest import GOLDEN_DIR, ROOT, golden_commands
 from test_dynamics import _reference_csv
 
-GOLDEN_DIR = Path(__file__).parent / "goldens"
+GOLDENS = golden_commands()
 
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "qubitgeom.cli", *args],
         capture_output=True,
+        cwd=ROOT,  # the golden command lines' paths start there
         # the width argparse wraps its help to; any warning ends the process, exit 1
         env=dict(os.environ, COLUMNS="80", PYTHONWARNINGS="error"),
     )
@@ -29,34 +30,7 @@ def run_cli(*args, check=True):
     return proc
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (["check", "--eta", "-1", "-1", "-1"], "check_universal_not.json"),
-        (["project", "--eta", "-1", "-1", "-1"], "project_universal_not.json"),
-        (["qkd", "--protocol", "four-state", "--dmax", "0.25"],
-         "qkd_four_state_dmax025.json"),
-        (["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--tmax", "3", "--steps", "200"],
-         "dynamics_alpha2_steps200.csv"),
-        # a non-diagonal CP channel: the canonical form's factors reach the network
-        (["compile", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "compile_rotated.json"),
-        (["run", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "run_rotated.json"),
-        (["run", "--catalog", "depolarize:0.5", "--state", "0", "0", "1", "--n", "10000",
-          "--seed", "1"], "run_depolarize_sampled.json"),
-        (["design", "--eta", "0.2", "-0.1", "0.05"], "design_eta.json"),
-        (["sw", "--eta", "-0.9", "-0.8", "-0.7"], "sw_eta.json"),
-        (["qkd", "--protocol", "six-state", "--dmax", "0.2", "--grid-resolution", "0.002"],
-         "qkd_six_state_grid.json"),
-        (["canon", "--in", str(GOLDEN_DIR / "rotated_channel.json")], "canon_rotated.json"),
-        (["-h"], "help.txt"),  # every verb's parser
-        (["check", "-h"], "help_check.txt"),  # the named verb's alone
-        (["qkd", "--protocol", "four-state", "--dmax", "0.4", "--grid-resolution", "0.005"],
-         "qkd_four_state_grid.json"),
-        # its last six rows have t >= 10, which the renderer formats with "%.17g"
-        (["dynamics", "--alpha2", "0.2", "0.3", "0.5", "--tmax", "12.3", "--steps", "30"],
-         "dynamics_tmax12.csv"),
-    ],
-)
+@pytest.mark.parametrize("argv,golden", [c for c in GOLDENS if not c[1].endswith(".stderr")])
 def test_goldens_byte_identical(argv, golden):
     out = run_cli(*argv).stdout
     assert out == (GOLDEN_DIR / golden).read_bytes()
@@ -76,7 +50,7 @@ def test_not_cp_refusal_bytes(argv, stderr):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", stderr)
 
 
-@pytest.mark.parametrize("argv,golden", [([], "no_verb.stderr"), (["bogus"], "bogus_verb.stderr")])
+@pytest.mark.parametrize("argv,golden", [c for c in GOLDENS if c[1].endswith(".stderr")])
 def test_argparse_refusal_bytes(argv, golden):
     """With no verb or an unknown one, every verb's parser is built: argparse's message is whole."""
     proc = run_cli(*argv, check=False)
@@ -476,6 +450,9 @@ def test_dynamics_refuses_a_negative_tmax(tmax, code):
      "_ArgumentError"),  # --oracle-state requires --t
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--tmax", "-1"],
      "_ArgumentError"),  # a negative --tmax gives no grid; -0.0 and 0 do
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--t", "1"],
+     "_ArgumentError"),  # --t requires --oracle-state
+    (["check", "--catalog", "identity:0.5"], "UnknownName"),  # only depolarize takes a p
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content
