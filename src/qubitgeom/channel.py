@@ -8,7 +8,7 @@ a regular tetrahedron in eta-space (see the geometry module).
 
 Complete positivity is a property of the trace-1 Choi matrix, the channel
 applied to one half of a maximally entangled pair. A unital channel is
-factored once (one SVD, a lazy field of the channel) as A = Q diag(delta) Q^T R,
+factored once (one SVD, the field the channel stores) as A = Q diag(delta) Q^T R,
 and its Choi eigenvalues are the Pauli weights of delta, so only a
 non-unital channel has its Choi matrix built and diagonalised.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, linalg
 from .errors import BadDimension, NotUnital, UnknownName, UnphysicalBloch
-from .linalg import _NO_SHIFT, PAULIS, _det3, _freeze, _lazy, _real, _trusted, _Value
+from .linalg import _NO_SHIFT, PAULIS, _det3, _freeze, _real, _trusted, _Value
 
 # Row 4j + k is sigma_j^T (x) sigma_k / 4, flattened; rows j = k sum to |Psi+><Psi+|.
 _PAULI_TENSOR = np.array([np.kron(p.T, q).ravel() / 4.0 for p in PAULIS for q in PAULIS])
@@ -67,36 +67,37 @@ class AffineChannel(_Value):
 
     A: np.ndarray
     b: np.ndarray = _NO_SHIFT  # if not given: (0, 0, 0), one read-only array for all
+    is_unital = True  # b's default is unital; __init__ stores the verdict on a given b
 
     def __init__(self, A, b=_NO_SHIFT):
         _freeze(self, "A", A, (3, 3))
-        if b is not _NO_SHIFT:  # else b is the class's, as in from_eta and catalog
-            _freeze(self, "b", b, (3,))
+        if b is not _NO_SHIFT:  # else b and is_unital are the class's, as in from_eta and catalog
+            self.__dict__["is_unital"] = math.hypot(*_freeze(self, "b", b, (3,))) <= linalg.ROUND_TOL
 
     @classmethod
     def from_eta(cls, eta) -> "AffineChannel":
         """Diagonal unital channel with squeezing parameters eta."""
         return _trusted(cls, A=np.diag(_real(eta, "eta", (3,))))
 
-    @_lazy  # A and b are read-only, so each of these is computed once
-    def is_unital(self) -> bool:
-        return math.hypot(*self.b.tolist()) <= linalg.ROUND_TOL
-
-    @_lazy
+    @property
     def is_diagonal(self) -> bool:
         (_, a01, a02), (a10, _, a12), (a20, a21, _) = self.A.tolist()
         return self.is_unital and max(map(abs, (a01, a02, a10, a12, a20, a21))) <= linalg.ROUND_TOL
 
-    @_lazy
+    @property
     def _canonical(self) -> "CanonicalForm":
+        # Not cached_property: its first read takes a lock that all instances share up to Python 3.11
+        if "_canonical" in self.__dict__:
+            return self.__dict__["_canonical"]
         Q, delta, Vt = linalg._svd(self.A)  # svd3 without its check: A is frozen
         for M in (Q.T, Vt):  # proper Q, then proper R = Q V^T: the bits of sigma S and (Q S) V^T
             if _det3(M) < 0:
                 M[2] = -M[2]
                 delta[2] = -delta[2]
-        return _trusted(CanonicalForm, Q=Q, delta=delta, R=Q.dot(Vt))
+        form = _trusted(CanonicalForm, Q=Q, delta=delta, R=Q.dot(Vt))
+        return self.__dict__.setdefault("_canonical", form)  # racing reads share the first form
 
-    @_lazy
+    @property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(delta, Q, R), A = Q diag(delta) Q^T R: (eta, I, I) if diagonal, else _canonical's."""
         if self.is_diagonal:

@@ -102,10 +102,13 @@ def _check(args):
 
 
 def _weights(args):
-    if args.from_p is not None:
-        return {"eta": qg.geometry.mixture_to_eta(args.from_p)}
-    mix = qg.geometry.pauli_weights(_eta_from_args(args))
-    return {"p": mix.p, "signed": mix.signed}
+    if args.from_p is None:
+        mix = qg.geometry.pauli_weights(_eta_from_args(args))
+        return {"p": mix.p, "signed": mix.signed}
+    eta = qg.geometry.mixture_to_eta(args.from_p)  # refuses bad weights first
+    if (args.eta, args.infile, args.catalog) != (None, None, None):
+        raise _ArgumentError("--from-p takes no --in, --eta or --catalog")
+    return {"eta": eta}
 
 
 def _project(args):
@@ -122,29 +125,34 @@ def _run(args):
     spec = qg.network.compile_channel(_channel_from_args(args))
     rho0 = qg.channel.bloch_to_density(args.state)
     if args.n is None:
+        if args.seed is not None:
+            raise _ArgumentError("--seed requires --n")
         rho = qg.network.run_exact(spec, rho0)
         return {"bloch": qg.channel.density_to_bloch(rho)}
-    rho, stderr = qg.network.run_sampled(spec, rho0, args.n, args.seed)
+    seed = 0 if args.seed is None else args.seed
+    rho, stderr = qg.network.run_sampled(spec, rho0, args.n, seed)
     return {"bloch": qg.channel.density_to_bloch(rho), "stderr": stderr,
-            "n": args.n, "seed": args.seed, "generator": "numpy-pcg64"}
+            "n": args.n, "seed": seed, "generator": "numpy-pcg64"}
 
 
 def _dynamics(args):
     spec = qg.dynamics.CouplingSpec.from_alpha2(args.alpha2)
-    if (args.oracle_state is None) != (args.t is None):  # each needs the other
-        raise _ArgumentError("--t requires --oracle-state" if args.oracle_state is None
-                             else "--oracle-state requires --t")
-    if args.oracle_state is not None:
+    if args.oracle_state is not None:  # the oracle at --t, else a trajectory
+        if args.t is None or (args.tmax, args.steps) != (None, None):
+            raise _ArgumentError("--oracle-state requires --t and takes no --tmax or --steps")
         rho0 = qg.channel.bloch_to_density(args.oracle_state)
         rho = qg.dynamics.simulate_reduced(spec, args.t, rho0)
         return {"bloch": qg.channel.density_to_bloch(rho),
                 "eta": qg.dynamics.eta_of_t(spec, args.t)}
-    if not 1 <= args.steps <= MAX_STEPS:
-        raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {args.steps}")
-    tmax = qg.linalg._real(args.tmax, "--tmax", ())
+    if args.t is not None:
+        raise _ArgumentError("--t requires --oracle-state")
+    steps = 100 if args.steps is None else args.steps
+    if not 1 <= steps <= MAX_STEPS:
+        raise _ArgumentError(f"--steps must be in [1, {MAX_STEPS}], got {steps}")
+    tmax = qg.linalg._real(np.pi if args.tmax is None else args.tmax, "--tmax", ())
     if tmax < 0:
         raise _ArgumentError(f"--tmax must be >= 0, got {args.tmax}")
-    grid = np.linspace(0.0, tmax, args.steps + 1)
+    grid = np.linspace(0.0, tmax, steps + 1)
     return qg.dynamics.trajectory_to_csv(qg.dynamics.trajectory(spec, grid))
 
 
@@ -189,12 +197,12 @@ VERBS = {
     "run": Verb("execute a channel on a state", _CHANNEL_ARGS | {
         "--state": dict(type=float, nargs=3, default=(0.0, 0.0, 1.0), metavar=("SX", "SY", "SZ")),
         "--n": dict(type=int, help="Monte Carlo samples (exact if omitted)"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=int, help="with --n; 0 if omitted"),
     }, _run, ("run_exact", "run_sampled")),
     "dynamics": Verb("eta(t) trajectory as CSV", {
         "--alpha2": dict(type=float, nargs=3, required=True, metavar=("AX2", "AY2", "AZ2")),
-        "--tmax": dict(type=float, default=float(np.pi)),
-        "--steps": dict(type=int, default=100, help=f"grid intervals, at most {MAX_STEPS}"),
+        "--tmax": dict(type=float, help="trajectory end; pi if omitted"),
+        "--steps": dict(type=int, help=f"grid intervals, at most {MAX_STEPS}; 100 if omitted"),
         "--oracle-state": dict(type=float, nargs=3, metavar=("SX", "SY", "SZ"),
                                help="run the full-space oracle on this state at --t instead"),
         "--t": dict(type=float),

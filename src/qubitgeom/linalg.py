@@ -5,11 +5,7 @@ Validate once, at the public boundary. A public function checks what its caller
 passes (with _real, require_hermitian or a value type's __init__) and hands it to
 an unchecked private kernel, the one source of its formula. Arrays the program
 built, and the read-only arrays of value types, go straight to kernels; _trusted
-keeps such arrays, uncopied, in a value type built without its __init__. A derived field
-(a channel's canonical factors) is a _lazy method, whose first read stores its result
-in obj.__dict__ for later reads to find: not functools' cached property, whose first
-read takes a lock that all instances share up to Python 3.11. Racing threads may compute a
-field twice, but setdefault keeps the first result for all; a read that raises stores nothing.
+keeps such arrays, uncopied, in a value type built without its __init__.
 Where numpy's dispatch outweighs the work and numpy does not decide the bits, a
 kernel reads tolist() and does Python arithmetic, as require_hermitian does. BLAS
 products (written a.dot(b): @'s bits, less dispatch), svd and seeding stay numpy.
@@ -87,14 +83,6 @@ class _Value:  # an immutable value type: its fields are its annotations, set by
     def __repr__(self):  # a dataclass's text
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
-
-
-class _lazy:  # a derived field of a value type, as the module docstring says
-    def __init__(self, f):
-        self.f, self.__doc__ = f, f.__doc__
-
-    def __get__(self, obj, cls=None):  # only on a miss: a stored field shadows this
-        return self if obj is None else obj.__dict__.setdefault(self.f.__name__, self.f(obj))
 
 
 def _freeze(obj: _Value, name: str, value, shape: tuple) -> np.ndarray:

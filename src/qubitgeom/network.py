@@ -50,6 +50,9 @@ class NetworkSpec(_Value):
     def from_json(cls, obj: dict) -> "NetworkSpec":
         if not (isinstance(obj, dict) and {"u1", "u2", "amplitudes"} <= obj.keys()):
             raise BadDimension("network JSON needs an object with u1, u2 and amplitudes")
+        for key in ("u1", "u2", "amplitudes"):  # channel_from_json's rule: no boolean, no string
+            if not qchannel._numbers(obj[key]):
+                raise BadDimension(f"{key} must hold JSON numbers only")
         amplitudes = _real(obj["amplitudes"], "amplitudes", (4,)).tolist()  # a * a: inf, no warning
         return cls(obj["u1"], obj["u2"], [a * a for a in amplitudes])
 

@@ -485,10 +485,21 @@ def test_threads_reading_a_derived_field_get_one_object(rng):
         sys.setswitchinterval(interval)
 
 
+def test_a_channel_stores_its_canonical_form_alone(rng):
+    """is_cp, compile_channel and canonical_form leave a rotated channel holding A and its
+    canonical form, and b and is_unital if b was given: no other derived field is stored."""
+    A = random_rotation(rng) @ np.diag([0.5, 0.4, 0.3]) @ random_rotation(rng)
+    for ch, stored in ((qg.AffineChannel(A), ["A", "_canonical"]),
+                       (qg.AffineChannel(A, np.zeros(3)), ["A", "b", "is_unital", "_canonical"])):
+        for fn in (qg.is_cp, qg.compile_channel, qg.canonical_form):
+            fn(ch)
+        assert list(vars(ch)) == stored
+
+
 def test_derived_fields_are_read_only_and_found_on_the_class(rng):
     ch = qg.AffineChannel(random_rotation(rng) * 0.5)
     for name in ("is_unital", "is_diagonal", "_canonical", "_factors"):
-        assert isinstance(vars(channel.AffineChannel)[name], linalg._lazy)
+        assert isinstance(vars(channel.AffineChannel)[name], bool if name == "is_unital" else property)
         assert getattr(channel.AffineChannel, name) is vars(channel.AffineChannel)[name]
         for _ in range(2):  # before the field is computed, and after
             with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):

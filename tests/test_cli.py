@@ -245,8 +245,7 @@ def test_weights_verb_and_inverse():
     assert out["p"] == [0.5, 0.5, -0.5, 0.5]
     assert out["signed"] is True
     out = json.loads(
-        run_cli("weights", "--catalog", "identity", "--from-p",
-                "0", "0.5", "0.5", "0").stdout
+        run_cli("weights", "--from-p", "0", "0.5", "0.5", "0").stdout
     )
     assert out["eta"] == [0, 0, -1]
 
@@ -453,6 +452,11 @@ def test_dynamics_refuses_a_negative_tmax(tmax, code):
     (["dynamics", "--alpha2", ".3", ".3", ".4", "--t", "1"],
      "_ArgumentError"),  # --t requires --oracle-state
     (["check", "--catalog", "identity:0.5"], "UnknownName"),  # only depolarize takes a p
+    (["dynamics", "--alpha2", ".3", ".3", ".4", "--oracle-state", "0", "0", "1", "--t", "1",
+      "--tmax", "-5", "--steps", "0"], "_ArgumentError"),  # the oracle draws no trajectory
+    (["weights", "--from-p", ".25", ".25", ".25", ".25", "--catalog", "bogus"],
+     "_ArgumentError"),  # --from-p is the mixture: no channel source besides
+    (["run", "--eta", ".5", ".5", ".5", "--seed", "-3"], "_ArgumentError"),  # --seed requires --n
 ])
 def test_validation_errors_exit_2(argv, error, tmp_path):
     if "--in" in argv:  # the argument after --in is the file's content

@@ -19,6 +19,7 @@ each call to the same contract, with any warning a failure.
 import contextlib
 import io
 import itertools
+import math
 import warnings
 from pathlib import Path
 
@@ -423,6 +424,17 @@ VALUES = [
     qg.SWDecomposition(0.5, [1, 1, 1], [-1, -1, -1], [1, -1, 1]),
     qg.AttackReport(qg.Protocol.SIX_STATE, [0.5, 0.5, 0.5], 0.25, 0.75, 0.5, 0.9),
 ]
+
+def test_is_unital_reads_b_however_the_channel_was_built():
+    """is_unital is |b| <= ROUND_TOL on each channel route, the class's True standing for
+    b's default, and on an explicit zero b and a JSON b on either side of the tolerance."""
+    channels = [v for v in VALUES if isinstance(v, qg.AffineChannel)] + [
+        qg.AffineChannel(np.eye(3), np.zeros(3)),
+        *(qg.channel_from_json({"A": np.eye(3).tolist(), "b": [0.0, b, 0.0]}) for b in (1e-12, 2e-12))]
+    assert [ch.is_unital for ch in channels] == [False, True, True, True, True, True, True, False]
+    for ch in channels:
+        assert ch.is_unital is (math.hypot(*ch.b) <= linalg.ROUND_TOL)
+
 
 def test_every_array_of_a_value_type_is_read_only():
     """A value's arrays may be shared (a split's corner is a row of NONCP_CORNERS),

@@ -131,8 +131,23 @@ def test_network_spec_json_roundtrip(rng):
     assert np.max(np.abs(back.weights - spec.weights)) < 1e-15
 
 
-def _spec_from_amplitudes(u1, u2, amplitudes) -> qg.NetworkSpec:
-    return qg.NetworkSpec.from_json({"u1": u1, "u2": u2, "amplitudes": amplitudes})
+def test_network_spec_json_holds_json_numbers_only():
+    """channel_from_json's rule: a JSON boolean or string is not a number, though numpy
+    would read true as 1 and "1" as 1."""
+    eye = np.eye(3).tolist()
+    for obj, key in (({"u1": eye, "u2": eye, "amplitudes": [True, False, False, False]}, "amplitudes"),
+                     ({"u1": [["1", 0, 0], [0, 1, 0], [0, 0, 1]], "u2": eye, "amplitudes": [1, 0, 0, 0]},
+                      "u1"),
+                     ({"u1": eye, "u2": eye, "amplitudes": ["1", "0", "0", "0"]}, "amplitudes")):
+        with pytest.raises(BadDimension, match=f"^{key} must hold JSON numbers only$"):
+            qg.NetworkSpec.from_json(obj)
+    spec = qg.NetworkSpec.from_json({"u1": eye, "u2": eye, "amplitudes": [1, 0, 0, 0]})
+    assert spec.weights.tolist() == [1.0, 0.0, 0.0, 0.0]  # integers are JSON numbers
+
+
+def _spec_from_amplitudes(u1, u2, amplitudes) -> qg.NetworkSpec:  # arrays, passed as JSON lists
+    return qg.NetworkSpec.from_json({"u1": u1.tolist(), "u2": u2.tolist(),
+                                     "amplitudes": amplitudes.tolist()})
 
 
 def _reference_compile(ch: qg.AffineChannel) -> qg.NetworkSpec:
